@@ -12,9 +12,10 @@ The study is deliberately restricted to the streaming estimators of
 :mod:`repro.obs.stream` plus scalar counters: the per-task runner strips
 the per-request ``jobs`` array before the result crosses the process
 boundary, so a knee sweep's memory footprint is O(cells), not O(jobs).
-Completion counts come from the online stretch stream (one observation
-per winning copy), quantiles from its P² bank — a working demonstration
-that the observability layer can answer a capacity question on its own.
+Completion counts come from the online stretch summary (one
+observation per winning copy), quantiles from its exact per-run
+quantiles — a working demonstration that the observability layer can
+answer a capacity question on its own.
 """
 
 from __future__ import annotations

@@ -1048,7 +1048,7 @@ def knee(scale: Optional[Scale] = None) -> ExperimentReport:
         columns=columns,
     )
     stretch_table = Table(
-        "Knee — online stretch quantiles (P², merged across replications)",
+        "Knee — online stretch quantiles (merged across replications)",
         columns=columns,
     )
     plot = AsciiPlot(
@@ -1086,7 +1086,7 @@ def knee(scale: Optional[Scale] = None) -> ExperimentReport:
         plots=[plot.render()],
         data=study.to_payload(),
         notes=[
-            "classified from online Welford/P² statistics and scalar "
+            "classified from online metric summaries and scalar "
             "counters alone — per-request arrays never leave the "
             "workers (completion fraction ≥ "
             f"{KNEE_COMPLETION_THRESHOLD:g} counts as sustained); "

@@ -55,10 +55,20 @@ from typing import Optional, Sequence
 
 from .analysis.registry import REGISTRY, SCALES, run_experiment
 from .core.parallel import resolve_workers
+from .core.schemes import get_scheme
 from .obs.log import get_logger, setup_logging
 from .obs.trace import EVENT_TYPES
 
 _log = get_logger("cli")
+
+
+def _scheme_arg(name: str) -> str:
+    """argparse ``type=`` for ``--schemes``: reject unknown schemes."""
+    try:
+        get_scheme(name)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return name
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -137,6 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--schemes",
         nargs="+",
+        type=_scheme_arg,
         default=None,
         metavar="SCHEME",
         help="schemes to sweep (default: the paper's R2 R3 R4 HALF ALL)",
@@ -220,8 +231,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     rec.add_argument("--out", required=True, metavar="DIR",
                      help="output directory for trace.jsonl + manifest.json")
-    rec.add_argument("--schemes", nargs="+", default=["ALL"],
-                     metavar="SCHEME", help="schemes to trace (default: ALL)")
+    rec.add_argument("--schemes", nargs="+", type=_scheme_arg,
+                     default=["ALL"], metavar="SCHEME",
+                     help="schemes to trace (default: ALL)")
     rec.add_argument("--replications", type=int, default=1,
                      help="replications per scheme (default 1)")
     rec.add_argument("--workers", type=int, default=1,
@@ -281,8 +293,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     prec.add_argument("--out", required=True, metavar="DIR",
                       help="output directory for probes.jsonl + manifest.json")
-    prec.add_argument("--schemes", nargs="+", default=["ALL"],
-                      metavar="SCHEME", help="schemes to probe (default: ALL)")
+    prec.add_argument("--schemes", nargs="+", type=_scheme_arg,
+                      default=["ALL"], metavar="SCHEME",
+                      help="schemes to probe (default: ALL)")
     prec.add_argument("--replications", type=int, default=1,
                       help="replications per scheme (default 1)")
     prec.add_argument("--workers", type=int, default=1,
@@ -383,8 +396,8 @@ def build_parser() -> argparse.ArgumentParser:
     jsubmit.add_argument("--spec", default=None, metavar="PATH",
                          help="JobSpec JSON file ('-' for stdin); overrides "
                          "the config flags below")
-    jsubmit.add_argument("--schemes", nargs="+", default=["R2"],
-                         metavar="SCHEME",
+    jsubmit.add_argument("--schemes", nargs="+", type=_scheme_arg,
+                         default=["R2"], metavar="SCHEME",
                          help="one config per scheme (default: R2)")
     jsubmit.add_argument("--replications", type=int, default=1,
                          help="replications per config (default 1)")
@@ -745,7 +758,7 @@ def cmd_bench(
         metrics,
     )
 
-    # Streaming estimator payloads (Welford + P²) merged across the
+    # Per-run online_metrics payloads merged across the
     # serial sweep's replications, per scheme and overall — the sweep's
     # headline distributions without holding any per-request arrays.
     online = {

@@ -54,7 +54,9 @@ from .results import ExperimentResult
 #: (5: online_metrics field on ExperimentResult — streaming Welford/P²
 #:  snapshots now ride every cached result; older pickles lack the
 #:  attribute and must miss)
-CACHE_SCHEMA_VERSION = 5
+#: (6: online_metrics quantiles are exact, computed at end of run —
+#:  cached P² payloads must never be mixed with exact ones)
+CACHE_SCHEMA_VERSION = 6
 
 #: default bound on the in-process LRU layer (entries, i.e. replications)
 DEFAULT_MEMORY_ENTRIES = 128

@@ -21,7 +21,6 @@ from functools import partial
 from typing import TYPE_CHECKING, Optional, Sequence
 
 if TYPE_CHECKING:  # typing-only: obs/sanitize import core at runtime
-    from ..obs.stream import OnlineMetrics
     from ..obs.trace import TraceRecorder
     from ..sanitize.auditor import InvariantAuditor
 
@@ -34,7 +33,6 @@ from ..policies.cancellation import (
 )
 from ..sched.base import SchedulerDownError
 from ..sched.job import Request, RequestState
-from .metrics import bounded_slowdown, stretch
 from ..sim.engine import Simulator
 from ..sim.events import EventPriority
 from ..workload.stream import StreamJob
@@ -118,16 +116,6 @@ class Coordinator:
         the paper's protocol and is byte-identical to the pre-policy
         coordinator; ``cancel-on-complete`` defers the sweep until the
         winner finishes, so losers may legally run beside it as waste.
-    online:
-        Optional :class:`~repro.obs.stream.OnlineMetrics`.  When
-        attached, the coordinator registers one finish callback per
-        scheduler and feeds the streaming estimators at each winning
-        completion (stretch/wait/slowdown) and each duplicate
-        completion (wasted node-seconds) — including cancel-on-complete
-        runs, whose waste becomes attributable only as the losers
-        finish.  ``None`` (the default) registers *no* hooks: the
-        disabled path allocates nothing and the run is bit-identical to
-        an uninstrumented one.
     """
 
     def __init__(
@@ -140,7 +128,6 @@ class Coordinator:
         tracer: Optional[TraceRecorder] = None,
         auditor: Optional[InvariantAuditor] = None,
         policy: CancellationPolicy | str = DEFAULT_CANCELLATION_POLICY,
-        online: Optional[OnlineMetrics] = None,
     ) -> None:
         if cancellation_latency < 0:
             raise ValueError(
@@ -178,12 +165,8 @@ class Coordinator:
         self._total_requests = 0
         self._total_cancellations = 0
         self._finalized = False
-        self.online = online
         for sched in platform.schedulers:
             sched.add_start_callback(self._on_request_start)
-        if online is not None:
-            for sched in platform.schedulers:
-                sched.add_finish_callback(self._on_request_finish)
 
     # -- submission ------------------------------------------------------
 
@@ -259,34 +242,6 @@ class Coordinator:
             return
         job.winner = request
         self.policy.on_winner_start(self, job)
-
-    def _on_request_finish(self, request: Request, now: float) -> None:
-        """Feed the online estimators (registered only when enabled).
-
-        A finishing winner defines its job's metrics, so stretch, wait
-        and bounded slowdown are observed here — the same instant the
-        post-hoc :class:`~repro.core.results.JobOutcome` would record.
-        A finishing non-winner is a duplicate start: its node-seconds
-        became fully attributable just now, which is the waste timeline
-        cancel-on-complete needs (losers run beside the winner and are
-        only charged as they end).
-        """
-        job = request.group
-        if not isinstance(job, RedundantJob):
-            return  # request not managed by this coordinator
-        online = self.online
-        assert online is not None  # callback registered iff enabled
-        if request is job.winner:
-            assert request.start_time is not None
-            turnaround = now - job.spec.arrival
-            online.observe_completion(
-                wait=request.start_time - job.spec.arrival,
-                stretch=stretch(turnaround, job.spec.runtime),
-                slowdown=bounded_slowdown(turnaround, job.spec.runtime),
-            )
-        else:
-            assert request.start_time is not None
-            online.observe_waste((now - request.start_time) * request.nodes)
 
     def dispatch_cancellations(self, job: RedundantJob) -> None:
         """Dispatch the sibling-cancellation sweep for ``job`` now.
@@ -501,16 +456,6 @@ class Coordinator:
             for req in job.requests:
                 if req is not job.winner and req.state is RequestState.PENDING:
                     self._cancel_one(job, req, force=True)
-        if self.online is not None:
-            # Duplicates still running at the horizon never reach the
-            # finish callback; charge their partial node-seconds now so
-            # the online waste total matches wasted_node_seconds(now).
-            now = self.sim.now
-            for req in self.duplicate_starts:
-                if req.end_time is None and req.start_time is not None:
-                    self.online.observe_waste(
-                        max(0.0, now - req.start_time) * req.nodes
-                    )
 
     # -- accounting --------------------------------------------------------
 

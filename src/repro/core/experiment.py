@@ -30,6 +30,7 @@ if TYPE_CHECKING:  # typing-only: obs/sanitize import core at runtime
 from ..cluster.platform import HETEROGENEOUS_NODE_CHOICES, Platform
 from ..contracts import declared_pure
 from ..faults import FaultInjector
+from ..sched.job import Request
 from ..sim.engine import Simulator
 from ..sim.rng import RngFactory
 from functools import lru_cache
@@ -88,6 +89,7 @@ def _cached_streams(
     )
 from .config import ExperimentConfig
 from .coordinator import Coordinator, RedundantJob
+from .metrics import bounded_slowdowns, stretches
 from .results import ClusterOutcome, ExperimentResult, JobOutcome
 from .schemes import TargetSelector, geometric_bias_weights, get_scheme
 
@@ -186,6 +188,43 @@ def _job_outcome(job: RedundantJob) -> JobOutcome:
     )
 
 
+def _online_payload(
+    jobs: list[JobOutcome], duplicates: list[Request], now: float
+) -> dict:
+    """The ``online_metrics`` payload of a finished run.
+
+    Completed jobs give wait, stretch and bounded slowdown; every
+    duplicate start gives its wasted node-seconds, charged up to ``now``
+    when it is still running at the horizon.  One call of each
+    ``OnlineMetrics.observe_*`` per run.
+    """
+    # Runtime import: this module is imported *by* the repro.obs
+    # package — a top-level import would be circular.
+    from ..obs.stream import OnlineMetrics
+
+    arrival, runtime, start, end = np.array(
+        [(j.submit_time, j.runtime, j.start_time, j.end_time) for j in jobs],
+        dtype=float,
+    ).reshape(-1, 4).T
+    turnaround = end - arrival
+    # Every duplicate started at or before ``now``.
+    dup_start, dup_end, dup_nodes = np.array(
+        [
+            (r.start_time, now if r.end_time is None else r.end_time, r.nodes)
+            for r in duplicates
+        ],
+        dtype=float,
+    ).reshape(-1, 3).T
+    online = OnlineMetrics()
+    online.observe_completion(
+        waits=start - arrival,
+        stretches=stretches(turnaround, runtime),
+        slowdowns=bounded_slowdowns(turnaround, runtime),
+    )
+    online.observe_waste((dup_end - dup_start) * dup_nodes)
+    return online.to_dict()
+
+
 @declared_pure
 def run_single(
     config: ExperimentConfig,
@@ -213,12 +252,14 @@ def run_single(
     after :meth:`~repro.core.coordinator.Coordinator.finalize`.  Same
     strict-no-op discipline as ``tracer`` when ``None``.
 
-    ``online`` (default on) attaches the O(1)-memory streaming
-    estimators of :mod:`repro.obs.stream` to the coordinator and stores
-    their snapshot as ``result.online_metrics``.  The estimators add no
-    events and draw no RNG, so the trajectory — every other result
-    field — is bit-identical either way; ``online=False`` registers no
-    hooks at all and leaves ``online_metrics`` as ``None``.
+    ``online`` (default on) summarises the finished run with
+    :mod:`repro.obs.stream` — exact moments and quantiles of stretch,
+    wait, bounded slowdown and wasted work, computed once after
+    :meth:`~repro.core.coordinator.Coordinator.finalize` — and stores
+    the payload as ``result.online_metrics``.  Nothing is attached to
+    the simulation, so the trajectory — every other result field — is
+    bit-identical either way; ``online=False`` leaves
+    ``online_metrics`` as ``None``.
 
     ``probe`` optionally attaches a sim-time state sampler (see
     :class:`repro.obs.probes.ProbeSampler`); the sampler's rows are the
@@ -269,14 +310,6 @@ def run_single(
         injector = FaultInjector(
             config.faults, factory.generator("rep", replication, "faults")
         )
-    online_metrics = None
-    if online:
-        # Runtime import: obs.stream is dependency-free, while this
-        # module is imported *by* repro.obs — a top-level import either
-        # way would be circular.
-        from ..obs.stream import OnlineMetrics
-
-        online_metrics = OnlineMetrics()
     coordinator = Coordinator(
         sim,
         platform,
@@ -286,7 +319,6 @@ def run_single(
         tracer=tracer,
         auditor=auditor,
         policy=config.cancellation_policy,
-        online=online_metrics,
     )
     if probe is not None:
         probe.install(sim, platform, coordinator)
@@ -329,13 +361,18 @@ def run_single(
                 f"(first: job {stuck[0].job_id})"
             )
 
-    completed = [j for j in coordinator.jobs if j.completed]
+    jobs = [_job_outcome(j) for j in coordinator.jobs if j.completed]
+    online_metrics = (
+        _online_payload(jobs, coordinator.duplicate_starts, sim.now)
+        if online
+        else None
+    )
     result = ExperimentResult(
         scheme=config.scheme,
         algorithm=config.algorithm,
         n_clusters=config.n_clusters,
         replication=replication,
-        jobs=[_job_outcome(j) for j in completed],
+        jobs=jobs,
         n_submitted_jobs=len(coordinator.jobs),
         clusters=[
             ClusterOutcome(
@@ -367,8 +404,6 @@ def run_single(
             "simulate_s": t_simulated - t_generated,
             "aggregate_s": time.perf_counter() - t_simulated,
         },
-        online_metrics=(
-            online_metrics.to_dict() if online_metrics is not None else None
-        ),
+        online_metrics=online_metrics,
     )
     return result

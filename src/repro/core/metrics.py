@@ -53,6 +53,34 @@ def bounded_slowdown(
     return max(turnaround / max(runtime, tau), 1.0)
 
 
+def _check_runtimes(runtime: np.ndarray) -> None:
+    bad = runtime <= 0
+    if bad.any():
+        value = runtime[np.argmax(bad)]
+        raise ValueError(f"runtime must be positive, got {value}")
+
+
+def stretches(turnaround: np.ndarray, runtime: np.ndarray) -> np.ndarray:
+    """:func:`stretch` over arrays: the same values, clamp and errors."""
+    _check_runtimes(runtime)
+    negative = turnaround < runtime * (1.0 - 1e-9)
+    if negative.any():
+        i = np.argmax(negative)
+        raise ValueError(
+            f"turnaround {turnaround[i]} below runtime {runtime[i]} "
+            "(negative wait?)"
+        )
+    return np.where(turnaround < runtime, 1.0, turnaround / runtime)
+
+
+def bounded_slowdowns(turnaround: np.ndarray, runtime: np.ndarray) -> np.ndarray:
+    """:func:`bounded_slowdown` over arrays: the same values and errors."""
+    _check_runtimes(runtime)
+    return np.maximum(
+        turnaround / np.maximum(runtime, BOUNDED_SLOWDOWN_TAU), 1.0
+    )
+
+
 @dataclass(frozen=True)
 class MetricSummary:
     """Aggregate statistics over a population of per-job values."""

@@ -121,10 +121,10 @@ class ExperimentResult:
     heap_compactions: int = 0
     #: wall-clock per driver phase (generate/simulate/aggregate), seconds
     phase_timings: dict = field(default_factory=dict)
-    #: streaming-estimator snapshot (:mod:`repro.obs.stream` payload,
-    #: schema-versioned): Welford moments and P² p50/p90/p99 for
-    #: stretch/wait/slowdown/wasted-work, accumulated during the run in
-    #: O(1) memory.  ``None`` when online statistics were disabled.
+    #: per-run metric summary (:mod:`repro.obs.stream` payload,
+    #: schema-versioned): moments and exact p50/p90/p99 for
+    #: stretch/wait/slowdown/wasted-work, computed at the end of the
+    #: run.  ``None`` when online statistics were disabled.
     online_metrics: Optional[dict] = None
 
     # -- selections -------------------------------------------------------

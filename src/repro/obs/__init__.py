@@ -15,10 +15,10 @@ strict no-op when disabled:
     A counters/gauges/timings registry snapshotted per run and
     aggregated across sweeps into the ``repro bench --json`` payload.
 ``repro.obs.stream``
-    O(1)-memory streaming statistics — Welford mean/variance and P²
-    quantile estimators for stretch/wait/slowdown/wasted-work — updated
-    at request completion inside the coordinator and merged across
-    sweep workers with an exactly-associative reduction.
+    Per-run summaries — exact moments and quantiles of
+    stretch/wait/slowdown/wasted-work, computed once at the end of each
+    run — merged across sweep workers with an exactly-associative
+    reduction.
 ``repro.obs.probes``
     A deterministic sim-time probe sampler emitting schema-versioned
     JSONL time series of system state (queue depths, utilisation,
@@ -55,7 +55,6 @@ from .stream import (
     ONLINE_SCHEMA_VERSION,
     MergedOnlineMetrics,
     OnlineMetrics,
-    P2Quantile,
     WelfordAccumulator,
     merge_online_payloads,
 )
@@ -93,7 +92,6 @@ __all__ = [
     "ONLINE_SCHEMA_VERSION",
     "OnlineMetrics",
     "MergedOnlineMetrics",
-    "P2Quantile",
     "WelfordAccumulator",
     "merge_online_payloads",
     "PROBE_SCHEMA_VERSION",

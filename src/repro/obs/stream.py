@@ -1,21 +1,19 @@
-"""Streaming (online) statistics: Welford moments and P² quantiles.
+"""Per-run metric summaries (exact moments and quantiles) and their merge.
 
 The paper's harmfulness verdict rests on distribution-level statistics
-— stretch quantiles, waste fractions — that the repo historically
-computed post-hoc from fully materialised per-request arrays.  That is
-a dead end for multi-million-job streaming replay (ROADMAP item 5) and
-for knee detection (item 3), where the interesting signal must be read
-*during* the run.  This module provides the O(1)-memory substrate:
+— stretch quantiles, waste fractions.  Every run carries them as
+``ExperimentResult.online_metrics``, a small schema-versioned payload
+that survives after the per-request ``jobs`` array is dropped (the
+knee study's lean runner does exactly that).  The payload is computed
+once, at the end of the run, from the completed population:
 
-* :class:`WelfordAccumulator` — numerically stable online mean and
-  variance (Welford's update, Chan's parallel merge), plus min/max and
-  a running total.
-* :class:`P2Quantile` — the Jain & Chlamtac (1985) P² algorithm: a
-  five-marker piecewise-parabolic estimator of one quantile that never
-  stores the population.  Exact below five observations.
+* :class:`WelfordAccumulator` — count, mean, ``m2 = Σ(x − mean)²``,
+  total, min and max of a batch (:meth:`WelfordAccumulator.of`), and
+  Chan's numerically stable parallel merge of two summaries.
 * :class:`OnlineStat` — one metric's bundle (moments + p50/p90/p99).
-* :class:`OnlineMetrics` — the per-run set the coordinator updates at
-  request completion (stretch, wait, bounded slowdown, wasted work).
+* :class:`OnlineMetrics` — the per-run set (stretch, wait, bounded
+  slowdown, wasted work) :func:`~repro.core.experiment.run_single`
+  fills with one call per kind once the simulation has stopped.
 * :class:`MergedOnlineMetrics` — the sweep-level reduction.  Its merge
   is list concatenation of immutable per-run summaries, so it is
   *exactly* associative: ``(a + b) + c`` and ``a + (b + c)`` hold the
@@ -25,35 +23,22 @@ for knee detection (item 3), where the interesting signal must be read
   final part order is the deterministic ``(config, replication)`` task
   order (which :func:`~repro.core.parallel.run_grid` guarantees).
 
-Accuracy contract (verified by ``tests/obs/test_stream.py`` and
-``tests/obs/test_probes.py``).  P² error is stated in *CDF space* —
-``|F̂(q̂_p) − p|`` where ``F̂`` is the exact empirical CDF — because
-value-space error is meaningless for the 4-decade heavy-tailed stretch
-distributions this repo produces:
+Accuracy contract (verified by ``tests/obs/test_stream.py``):
 
-* IID moderate-tailed streams of n ≥ 50 observations
-  (uniform/exponential/normal, the hypothesis suite): CDF error
-  ≤ 2/√n at every tracked quantile — the same order as the sampling
-  noise of the exact quantile itself (empirical worst over 20k
-  streams: 0.185 at n ≈ 50, 0.05 at n ≈ 400, margin ≥ 35%
-  everywhere).  No bound is claimed for adversarial non-IID
-  orderings: P² is an interpolation scheme, not a sketch with
-  worst-case rank guarantees;
-* the smoke experiment grid (≈180 completed jobs, stretch spanning
-  1 to ~2·10⁴): CDF error ≤ 0.15 for the median and ≤ 0.05 for
-  p90/p99 — the tails, which carry the paper's verdict, are the
-  accurate end;
-* streams of fewer than five observations: exact (the warm-up buffer
-  interpolates the true empirical quantile).
+* per-run quantiles are exact: the linear-interpolation quantile of
+  the sorted population (numpy's default ``"linear"`` method),
+  bit-identical to :func:`_exact_quantile` over
+  ``sorted(result.stretches())`` / ``sorted(result.waits())``;
+* per-run counts equal the post-hoc populations (``len(result.jobs)``
+  and ``len(coordinator.duplicate_starts)``); means, variances and
+  totals equal the post-hoc values up to float-summation order;
+* merged sweep quantiles are count-weighted means of the per-run exact
+  quantiles — an approximation documented here rather than hidden: it
+  is close when the runs are identically distributed replications (the
+  sweep case) and is not the quantile of the pooled population.
 
-Merged sweep quantiles are count-weighted means of per-run P²
-estimates — an approximation documented here rather than hidden: it is
-exact when the runs are identically distributed replications (the
-sweep case) and degrades gracefully otherwise.
-
-Everything here is pure Python over plain floats: no numpy arrays to
-pickle, no RNG draws, no event-queue interaction — attaching online
-statistics to a run cannot perturb its trajectory.
+The summaries draw no RNG and schedule no events, so computing them
+cannot perturb a run's trajectory; the payload holds plain floats.
 """
 
 from __future__ import annotations
@@ -61,10 +46,13 @@ from __future__ import annotations
 import math
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
 #: version of the ``online_metrics`` payload carried by
 #: :class:`~repro.core.results.ExperimentResult`, ``repro bench --json``
-#: and run manifests; bump when keys change meaning.
-ONLINE_SCHEMA_VERSION = 1
+#: and run manifests; bump when keys change meaning (2: quantiles are
+#: exact, no longer P² estimates).
+ONLINE_SCHEMA_VERSION = 2
 
 #: quantiles every :class:`OnlineStat` tracks by default (the paper's
 #: median plus the tail the helpful/harmful crossover lives in).
@@ -77,7 +65,7 @@ ONLINE_METRIC_NAMES: tuple[str, ...] = (
 
 #: estimator families enabled by this implementation (recorded in run
 #: manifests so replayed runs are auditable).
-ONLINE_ESTIMATORS: tuple[str, ...] = ("welford", "p2")
+ONLINE_ESTIMATORS: tuple[str, ...] = ("moments", "exact")
 
 
 def quantile_label(p: float) -> str:
@@ -86,12 +74,13 @@ def quantile_label(p: float) -> str:
 
 
 class WelfordAccumulator:
-    """Online mean/variance/min/max/total in O(1) memory.
+    """Mean/variance/min/max/total of a population, mergeable.
 
-    Uses Welford's recurrence for single observations and Chan et al.'s
-    pairwise update for :meth:`merge`, both numerically stable.  The
-    running ``total`` is kept separately (not ``count * mean``) so waste
-    totals do not pick up mean-rounding drift.
+    :meth:`of` summarises one batch with numpy (two-pass, so ``m2`` is
+    ``Σ(x − mean)²`` computed directly); :meth:`merge` folds summaries
+    with Chan et al.'s numerically stable pairwise update.  The
+    ``total`` is kept separately (not ``count * mean``) so waste totals
+    do not pick up mean-rounding drift.
     """
 
     __slots__ = ("count", "mean", "m2", "total", "minimum", "maximum")
@@ -104,16 +93,19 @@ class WelfordAccumulator:
         self.minimum = math.inf
         self.maximum = -math.inf
 
-    def observe(self, x: float) -> None:
-        self.count += 1
-        delta = x - self.mean
-        self.mean += delta / self.count
-        self.m2 += delta * (x - self.mean)
-        self.total += x
-        if x < self.minimum:
-            self.minimum = x
-        if x > self.maximum:
-            self.maximum = x
+    @classmethod
+    def of(cls, values: np.ndarray) -> "WelfordAccumulator":
+        """Summary of a float array (the empty summary for no values)."""
+        acc = cls()
+        if values.size:
+            acc.count = int(values.size)
+            acc.total = float(values.sum())
+            acc.mean = acc.total / acc.count
+            dev = values - acc.mean
+            acc.m2 = float((dev * dev).sum())
+            acc.minimum = float(values.min())
+            acc.maximum = float(values.max())
+        return acc
 
     def merge(self, other: "WelfordAccumulator") -> None:
         """Fold ``other`` into ``self`` (Chan's parallel combination)."""
@@ -152,7 +144,7 @@ class WelfordAccumulator:
 
 
 def _exact_quantile(sorted_values: Sequence[float], p: float) -> float:
-    """Linear-interpolation quantile of a small sorted buffer."""
+    """Linear-interpolation quantile of a sorted sequence."""
     n = len(sorted_values)
     if n == 0:
         return float("nan")
@@ -160,108 +152,26 @@ def _exact_quantile(sorted_values: Sequence[float], p: float) -> float:
     lo = int(math.floor(pos))
     hi = min(lo + 1, n - 1)
     frac = pos - lo
-    return sorted_values[lo] * (1.0 - frac) + sorted_values[hi] * frac
-
-
-class P2Quantile:
-    """One-quantile P² estimator (Jain & Chlamtac, CACM 1985).
-
-    Five markers track the minimum, the ``p/2``, ``p`` and
-    ``(1 + p)/2`` quantiles and the maximum.  Marker heights move by
-    piecewise-parabolic (falling back to linear) interpolation as
-    observations arrive, so the ``p`` estimate is available at any time
-    without storing the stream.  For fewer than five observations the
-    estimate is the exact interpolated empirical quantile.
-    """
-
-    __slots__ = ("p", "count", "_heights", "_pos", "_desired", "_inc")
-
-    def __init__(self, p: float) -> None:
-        if not 0.0 < p < 1.0:
-            raise ValueError(f"quantile must be in (0, 1), got {p}")
-        self.p = p
-        self.count = 0
-        self._heights: list[float] = []
-        self._pos = [1.0, 2.0, 3.0, 4.0, 5.0]
-        self._desired = [1.0, 1.0 + 2.0 * p, 1.0 + 4.0 * p, 3.0 + 2.0 * p, 5.0]
-        self._inc = [0.0, p / 2.0, p, (1.0 + p) / 2.0, 1.0]
-
-    def observe(self, x: float) -> None:
-        self.count += 1
-        h = self._heights
-        if self.count <= 5:
-            # Warm-up: collect the first five observations exactly.
-            h.append(x)
-            h.sort()
-            return
-        pos = self._pos
-        # 1. Find the cell x falls into; adjust the extreme markers.
-        if x < h[0]:
-            h[0] = x
-            k = 0
-        elif x >= h[4]:
-            h[4] = x
-            k = 3
-        else:
-            k = 0
-            while k < 3 and x >= h[k + 1]:
-                k += 1
-        # 2. Shift actual positions above the cell; advance desired ones.
-        for i in range(k + 1, 5):
-            pos[i] += 1.0
-        for i in range(5):
-            self._desired[i] += self._inc[i]
-        # 3. Nudge the three interior markers toward their desired
-        #    positions, parabolic where monotone, linear otherwise.
-        for i in range(1, 4):
-            d = self._desired[i] - pos[i]
-            if (d >= 1.0 and pos[i + 1] - pos[i] > 1.0) or (
-                d <= -1.0 and pos[i - 1] - pos[i] < -1.0
-            ):
-                step = 1.0 if d >= 1.0 else -1.0
-                candidate = self._parabolic(i, step)
-                if h[i - 1] < candidate < h[i + 1]:
-                    h[i] = candidate
-                else:
-                    h[i] = self._linear(i, step)
-                pos[i] += step
-        return
-
-    def _parabolic(self, i: int, d: float) -> float:
-        h, n = self._heights, self._pos
-        return h[i] + d / (n[i + 1] - n[i - 1]) * (
-            (n[i] - n[i - 1] + d) * (h[i + 1] - h[i]) / (n[i + 1] - n[i])
-            + (n[i + 1] - n[i] - d) * (h[i] - h[i - 1]) / (n[i] - n[i - 1])
-        )
-
-    def _linear(self, i: int, d: float) -> float:
-        h, n = self._heights, self._pos
-        j = i + int(d)
-        return h[i] + d * (h[j] - h[i]) / (n[j] - n[i])
-
-    @property
-    def value(self) -> float:
-        """Current estimate of the ``p`` quantile (NaN before any data)."""
-        if self.count == 0:
-            return float("nan")
-        if self.count <= 5:
-            return _exact_quantile(self._heights, self.p)
-        return self._heights[2]
+    return float(sorted_values[lo] * (1.0 - frac) + sorted_values[hi] * frac)
 
 
 class OnlineStat:
-    """Moments plus a bank of P² quantile estimators for one metric."""
+    """Exact moments and quantiles of one metric's observations."""
 
-    __slots__ = ("welford", "quantiles")
+    __slots__ = ("welford", "quantiles", "_sorted")
 
     def __init__(self, quantiles: Sequence[float] = ONLINE_QUANTILES) -> None:
         self.welford = WelfordAccumulator()
-        self.quantiles = [P2Quantile(p) for p in quantiles]
+        self.quantiles = tuple(quantiles)
+        self._sorted = np.empty(0)
 
-    def observe(self, x: float) -> None:
-        self.welford.observe(x)
-        for q in self.quantiles:
-            q.observe(x)
+    def observe(self, values: np.ndarray) -> None:
+        """Fold a batch of observations in."""
+        x = np.asarray(values, dtype=float)
+        if x.size == 0:
+            return
+        self.welford.merge(WelfordAccumulator.of(x))
+        self._sorted = np.sort(np.concatenate((self._sorted, x)))
 
     def summary(self) -> dict:
         """Immutable plain-dict snapshot (the mergeable part payload).
@@ -272,9 +182,9 @@ class OnlineStat:
         """
         w = self.welford
         quantiles = {}
-        for q in self.quantiles:
-            value = q.value
-            quantiles[quantile_label(q.p)] = value if value == value else None
+        for p in self.quantiles:
+            value = _exact_quantile(self._sorted, p)
+            quantiles[quantile_label(p)] = value if value == value else None
         return {
             "count": w.count,
             "mean": w.mean if w.count else None,
@@ -287,17 +197,15 @@ class OnlineStat:
 
 
 class OnlineMetrics:
-    """Per-run streaming metrics, updated inside the coordinator.
+    """Per-run metric summaries, computed once the run has ended.
 
-    ``observe_completion`` fires once per completed job (at the winning
-    request's finish event); ``observe_waste`` fires once per duplicate
-    copy as its node-seconds become attributable — at the duplicate's
-    own completion, or at :meth:`~repro.core.coordinator.Coordinator.
-    finalize` for duplicates still running at the horizon.  The
-    population therefore matches the post-hoc arrays exactly: the
-    ``stretch`` count equals ``len(result.jobs)`` and the wasted-work
-    total equals ``result.wasted_node_seconds`` up to float-summation
-    order.
+    :func:`~repro.core.experiment.run_single` calls ``observe_completion``
+    once with the per-job arrays of every completed job and
+    ``observe_waste`` once with the node-seconds of every duplicate
+    start (charged up to the horizon when still running).  The
+    ``stretch`` count therefore equals ``len(result.jobs)`` and the
+    wasted-work total equals ``result.wasted_node_seconds`` up to
+    float-summation order.
     """
 
     __slots__ = ("stats",)
@@ -306,13 +214,13 @@ class OnlineMetrics:
         self.stats = {name: OnlineStat(quantiles) for name in ONLINE_METRIC_NAMES}
 
     def observe_completion(
-        self, wait: float, stretch: float, slowdown: float
+        self, waits: np.ndarray, stretches: np.ndarray, slowdowns: np.ndarray
     ) -> None:
-        self.stats["stretch"].observe(stretch)
-        self.stats["wait"].observe(wait)
-        self.stats["slowdown"].observe(slowdown)
+        self.stats["stretch"].observe(stretches)
+        self.stats["wait"].observe(waits)
+        self.stats["slowdown"].observe(slowdowns)
 
-    def observe_waste(self, node_seconds: float) -> None:
+    def observe_waste(self, node_seconds: np.ndarray) -> None:
         self.stats["wasted_node_seconds"].observe(node_seconds)
 
     def to_dict(self) -> dict:
@@ -393,10 +301,10 @@ class MergedOnlineMetrics:
         return acc.mean, acc.variance
 
     def quantile(self, name: str, p: float) -> float:
-        """Count-weighted mean of per-run P² estimates for quantile ``p``.
+        """Count-weighted mean of per-run quantiles ``p``.
 
-        Exact when parts are IID replications of one distribution (the
-        sweep case); an approximation otherwise — see the module
+        The per-run quantiles are exact, but their weighted mean is not
+        the quantile of the pooled population — see the module
         docstring's accuracy contract.
         """
         label = quantile_label(p)

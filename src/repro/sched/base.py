@@ -146,7 +146,6 @@ class Scheduler(abc.ABC):
         #: discipline as ``tracer``
         self.auditor = None
         self._start_callbacks: list[StartCallback] = []
-        self._finish_callbacks: list[StartCallback] = []
         self._pass_pending = False
         self._pending_count = 0
         # Hook elision: the base hooks are empty, so when a subclass
@@ -200,16 +199,6 @@ class Scheduler(abc.ABC):
     def add_start_callback(self, cb: StartCallback) -> None:
         """Register ``cb(request, time)`` invoked whenever a request starts."""
         self._start_callbacks.append(cb)
-
-    def add_finish_callback(self, cb: StartCallback) -> None:
-        """Register ``cb(request, time)`` invoked whenever a request finishes.
-
-        The coordinator's online-metrics path registers here only when
-        streaming statistics are enabled, so the disabled path costs a
-        single truthiness check per finish — the same zero-overhead
-        discipline as ``tracer``/``auditor``.
-        """
-        self._finish_callbacks.append(cb)
 
     # -- tracing ---------------------------------------------------------
 
@@ -578,13 +567,6 @@ class Scheduler(abc.ABC):
             self._on_finish(request)
         if self.auditor is not None:
             self.auditor.after_finish(self, request)
-        # Notify listeners before the backfill pass the release enables:
-        # online estimators must observe the completion at its own
-        # instant, not after reentrant starts it triggered.
-        if self._finish_callbacks:
-            now = self.sim.now
-            for cb in self._finish_callbacks:
-                cb(request, now)
         self._request_pass()
 
     # -- invariants (exercised heavily by tests) -----------------------------

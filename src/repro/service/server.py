@@ -71,6 +71,9 @@ class _JobRuntime:
         self.job_id = job_id
         self.spec = spec
         self.orchestrator: Optional[Orchestrator] = None
+        #: a cancel that arrived before ``orchestrator`` was published;
+        #: guarded, like ``orchestrator``, by the service lock
+        self.cancel_requested = False
         self.queue: Optional[ChunkQueue] = None
         self.thread: Optional[threading.Thread] = None
         self.done = threading.Event()
@@ -205,7 +208,11 @@ class SweepService:
             n_workers=spec.n_workers,
             journal=journal,
         )
-        runtime.orchestrator = orchestrator
+        with self._lock:
+            runtime.orchestrator = orchestrator
+            cancel_requested = runtime.cancel_requested
+        if cancel_requested:
+            orchestrator.cancel()
         executor = self._make_executor(runtime)
         t0 = time.perf_counter()
         try:
@@ -304,8 +311,14 @@ class SweepService:
             raise HttpError(404, f"no such job {job_id!r}") from None
         with self._lock:
             runtime = self._running.get(job_id)
-        if runtime is not None and runtime.orchestrator is not None:
-            runtime.orchestrator.cancel()
+            if runtime is not None:
+                # A job thread that has not published its orchestrator
+                # yet picks the request up when it does (_run_job).
+                runtime.cancel_requested = True
+                orchestrator = runtime.orchestrator
+        if runtime is not None:
+            if orchestrator is not None:
+                orchestrator.cancel()
             return HttpResponse.json({"job_id": job_id, "cancelling": True})
         if status.get("state") in ("pending", "running"):
             # Not executing in this process (e.g. pre-resume window).

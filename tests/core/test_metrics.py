@@ -12,9 +12,11 @@ from repro.core.metrics import (
     MetricSummary,
     RatioSummary,
     bounded_slowdown,
+    bounded_slowdowns,
     mean_of_ratios,
     relative,
     stretch,
+    stretches,
     summarize_ratios,
 )
 
@@ -62,6 +64,41 @@ class TestBoundedSlowdown:
 
     def test_custom_tau(self):
         assert bounded_slowdown(100.0, 1.0, tau=50.0) == 2.0
+
+
+_runtimes = st.floats(min_value=1e-3, max_value=1e6)
+
+
+class TestArrayForms:
+    """``stretches``/``bounded_slowdowns`` against the scalar reference."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(jobs=st.lists(
+        st.tuples(st.floats(min_value=0.0, max_value=1e6), _runtimes),
+        max_size=50,
+    ))
+    def test_bit_identical_to_scalar(self, jobs):
+        turnaround = np.array([w + r for w, r in jobs], dtype=float)
+        runtime = np.array([r for _, r in jobs], dtype=float)
+        assert stretches(turnaround, runtime).tolist() == [
+            stretch(t, r) for t, r in zip(turnaround, runtime)
+        ]
+        assert bounded_slowdowns(turnaround, runtime).tolist() == [
+            bounded_slowdown(t, r) for t, r in zip(turnaround, runtime)
+        ]
+
+    def test_rounding_clamped_negative_wait_rejected(self):
+        rt = np.array([4.224930832079049, 10.0])
+        assert stretches(np.array([4.224930832079046, 10.0]), rt).tolist() == [
+            1.0, 1.0,
+        ]
+        with pytest.raises(ValueError, match="negative wait"):
+            stretches(np.array([10.0, 5.0]), np.array([5.0, 10.0]))
+
+    @pytest.mark.parametrize("fn", [stretches, bounded_slowdowns])
+    def test_nonpositive_runtime_rejected(self, fn):
+        with pytest.raises(ValueError, match="runtime must be positive"):
+            fn(np.array([10.0, 10.0]), np.array([5.0, 0.0]))
 
 
 class TestMetricSummary:

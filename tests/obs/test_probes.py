@@ -3,7 +3,7 @@
 The three guarantees under test, in order of importance:
 
 1. *Strict no-op when disabled* — a run without probes/online stats
-   allocates no hooks and produces a bit-identical trajectory;
+   produces a bit-identical trajectory;
 2. *Trajectory invariance when enabled* — probes add observation events
    but never change any job outcome;
 3. *Worker invariance* — a probed sweep's JSONL is byte-identical for
@@ -41,30 +41,6 @@ def small_config(**overrides):
 
 
 class TestDisabledIsStrictNoOp:
-    def test_no_finish_hooks_without_online(self):
-        """``online=False`` must not even allocate a callback entry."""
-        from repro.cluster.platform import Platform
-        from repro.core.coordinator import Coordinator
-        from repro.sim.engine import Simulator
-
-        sim = Simulator()
-        platform = Platform(sim, [8, 8], algorithm="easy")
-        Coordinator(sim, platform)
-        assert all(s._finish_callbacks == [] for s in platform.schedulers)
-
-    def test_online_registers_one_hook_per_scheduler(self):
-        from repro.cluster.platform import Platform
-        from repro.core.coordinator import Coordinator
-        from repro.obs.stream import OnlineMetrics
-        from repro.sim.engine import Simulator
-
-        sim = Simulator()
-        platform = Platform(sim, [8, 8], algorithm="easy")
-        Coordinator(sim, platform, online=OnlineMetrics())
-        assert all(
-            len(s._finish_callbacks) == 1 for s in platform.schedulers
-        )
-
     def test_disabled_run_is_bit_identical(self):
         cfg = small_config()
         with_online = run_single(cfg, 0)

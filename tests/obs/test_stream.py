@@ -1,32 +1,31 @@
-"""Online estimators: Welford exactness, P² accuracy bounds, merge laws.
+"""Per-run metric summaries: exactness against post-hoc arrays, merge laws.
 
 The accuracy contract under test is the one documented in
-:mod:`repro.obs.stream`: P² error is measured in *CDF space*
-(``|F̂(q̂_p) − p|`` against the exact empirical CDF), IID
-moderate-tailed streams of n ≥ 50 stay within 2/√n, the smoke experiment
-grid stays within 0.15 for the median and 0.05 for p90/p99, and streams
-shorter than five observations are exact.
+:mod:`repro.obs.stream`: per-run quantiles are bit-identical to the
+linear-interpolation quantile of the sorted post-hoc population, counts
+match it exactly, and the sweep-level merge is exactly associative.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_left, bisect_right
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.experiment import run_single
 from repro.obs.stream import (
     ONLINE_METRIC_NAMES,
     ONLINE_QUANTILES,
     ONLINE_SCHEMA_VERSION,
     MergedOnlineMetrics,
     OnlineMetrics,
-    P2Quantile,
+    OnlineStat,
     WelfordAccumulator,
+    _exact_quantile,
     merge_online_payloads,
     quantile_label,
 )
@@ -34,20 +33,6 @@ from repro.obs.stream import (
 _floats = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
 )
-
-
-def cdf_error(values: list[float], estimate: float, p: float) -> float:
-    """``|F̂(estimate) − p|``, zero if p falls inside a flat CDF step.
-
-    The empirical CDF jumps at ties; an estimate sitting on a plateau
-    is credited with the whole plateau's probability interval.
-    """
-    s = sorted(values)
-    lo = bisect_left(s, estimate) / len(s)
-    hi = bisect_right(s, estimate) / len(s)
-    if lo <= p <= hi:
-        return 0.0
-    return min(abs(p - lo), abs(p - hi))
 
 
 class TestQuantileLabel:
@@ -62,18 +47,16 @@ class TestWelford:
     @settings(max_examples=200, deadline=None)
     @given(xs=st.lists(_floats, min_size=1, max_size=200))
     def test_matches_numpy(self, xs):
-        acc = WelfordAccumulator()
-        for x in xs:
-            acc.observe(x)
         arr = np.array(xs, dtype=float)
+        acc = WelfordAccumulator.of(arr)
         assert acc.count == len(xs)
-        assert acc.mean == pytest.approx(float(arr.mean()), rel=1e-9, abs=1e-6)
+        assert acc.mean == float(arr.mean())
         assert acc.variance == pytest.approx(
-            float(arr.var()), rel=1e-7, abs=1e-4
+            float(arr.var()), rel=1e-9, abs=1e-6
         )
         assert acc.minimum == float(arr.min())
         assert acc.maximum == float(arr.max())
-        assert acc.total == pytest.approx(float(arr.sum()), rel=1e-9, abs=1e-6)
+        assert acc.total == float(arr.sum())
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -81,16 +64,10 @@ class TestWelford:
         ys=st.lists(_floats, min_size=0, max_size=100),
     )
     def test_merge_equals_sequential(self, xs, ys):
-        """Chan's merge of two halves ≈ observing the concatenation."""
-        left, right = WelfordAccumulator(), WelfordAccumulator()
-        for x in xs:
-            left.observe(x)
-        for y in ys:
-            right.observe(y)
-        left.merge(right)
-        seq = WelfordAccumulator()
-        for x in xs + ys:
-            seq.observe(x)
+        """Chan's merge of two halves ≈ the summary of the concatenation."""
+        left = WelfordAccumulator.of(np.array(xs, dtype=float))
+        left.merge(WelfordAccumulator.of(np.array(ys, dtype=float)))
+        seq = WelfordAccumulator.of(np.array(xs + ys, dtype=float))
         assert left.count == seq.count
         if seq.count:
             assert left.mean == pytest.approx(seq.mean, rel=1e-9, abs=1e-6)
@@ -101,79 +78,47 @@ class TestWelford:
             assert left.maximum == seq.maximum
 
     def test_empty_is_nan(self):
-        acc = WelfordAccumulator()
+        acc = WelfordAccumulator.of(np.empty(0))
         assert math.isnan(acc.variance)
         assert math.isnan(acc.std)
         assert acc.count == 0 and acc.total == 0.0
 
 
-class TestP2Quantile:
-    def test_rejects_degenerate_p(self):
-        for bad in (0.0, 1.0, -0.1, 1.5):
-            with pytest.raises(ValueError):
-                P2Quantile(bad)
-
+class TestExactQuantile:
     def test_empty_is_nan(self):
-        assert math.isnan(P2Quantile(0.5).value)
+        assert math.isnan(_exact_quantile([], 0.5))
 
     @settings(max_examples=200, deadline=None)
     @given(
-        xs=st.lists(_floats, min_size=1, max_size=4),
+        xs=st.lists(_floats, min_size=1, max_size=200),
         p=st.sampled_from(ONLINE_QUANTILES),
     )
-    def test_exact_below_five_observations(self, xs, p):
-        """The warm-up buffer interpolates the true empirical quantile."""
-        est = P2Quantile(p)
-        for x in xs:
-            est.observe(x)
+    def test_matches_numpy_linear_quantile(self, xs, p):
         expected = float(np.quantile(np.array(xs, dtype=float), p))
-        assert est.value == pytest.approx(expected, rel=1e-9, abs=1e-9)
+        assert _exact_quantile(sorted(xs), p) == pytest.approx(
+            expected, rel=1e-9, abs=1e-9
+        )
 
-    @settings(max_examples=150, deadline=None)
-    @given(
-        seed=st.integers(min_value=0, max_value=2**32 - 1),
-        n=st.integers(min_value=50, max_value=400),
-        family=st.sampled_from(["uniform", "exponential", "normal"]),
-        p=st.sampled_from(ONLINE_QUANTILES),
-    )
-    def test_cdf_error_bound_moderate_streams(self, seed, n, family, p):
-        """Documented bound: CDF error ≤ 2/√n on IID moderate streams.
-
-        The contract is about IID draws from well-behaved
-        distributions (hypothesis picks the seed, size and family; the
-        draws are numpy's), not arbitrary adversarial orderings — P²
-        carries no distribution-free rank guarantee and the module
-        docstring says so.
-        """
-        rng = np.random.default_rng(seed)
-        if family == "uniform":
-            xs = rng.uniform(0.0, 1000.0, n)
-        elif family == "exponential":
-            xs = rng.exponential(100.0, n)
-        else:
-            xs = rng.normal(0.0, 50.0, n)
-        xs = [float(x) for x in xs]
-        est = P2Quantile(p)
-        for x in xs:
-            est.observe(x)
-        assert cdf_error(xs, est.value, p) <= 2.0 / math.sqrt(n)
-
-    def test_tracks_a_long_heavy_stream(self):
-        """Deterministic lognormal stream: all three quantiles in bound."""
-        rng = np.random.default_rng(20060619)
-        xs = list(rng.lognormal(mean=1.0, sigma=2.0, size=5000))
+    @settings(max_examples=100, deadline=None)
+    @given(batches=st.lists(
+        st.lists(_floats, min_size=0, max_size=40), min_size=1, max_size=4
+    ))
+    def test_batches_summarise_their_concatenation(self, batches):
+        stat = OnlineStat()
+        for batch in batches:
+            stat.observe(np.array(batch, dtype=float))
+        pooled = sorted(x for batch in batches for x in batch)
+        quantiles = stat.summary()["quantiles"]
         for p in ONLINE_QUANTILES:
-            est = P2Quantile(p)
-            for x in xs:
-                est.observe(x)
-            assert cdf_error(xs, est.value, p) <= 0.06
+            expected = _exact_quantile(pooled, p) if pooled else None
+            assert quantiles[quantile_label(p)] == expected
 
 
 def _payload_from(values: list[float]) -> dict:
+    arr = np.array(values, dtype=float)
     om = OnlineMetrics()
-    for v in values:
-        om.observe_completion(wait=v, stretch=v, slowdown=v)
-        om.observe_waste(abs(v))
+    om.observe_completion(waits=arr, stretches=arr, slowdowns=arr)
+    om.observe_waste(np.abs(arr))
     return om.to_dict()
 
 
@@ -275,46 +220,124 @@ class TestMergedOnlineMetrics:
         assert json.loads(json.dumps(summary, allow_nan=False)) == summary
 
 
+def _run(**overrides):
+    from repro.core.config import ExperimentConfig
+
+    defaults = dict(
+        scheme="R2", n_clusters=3, nodes_per_cluster=16,
+        duration=900.0, offered_load=2.0, drain=True, seed=20060619,
+    )
+    defaults.update(overrides)
+    return run_single(ExperimentConfig(**defaults))
+
+
 class TestSmokeGridAccuracy:
-    """Acceptance gate: online quantiles vs exact post-hoc, real runs."""
+    """Acceptance gate: per-run summaries vs the post-hoc arrays."""
 
     def test_online_stretch_quantiles_within_documented_bounds(self):
-        from repro.core.config import ExperimentConfig
-        from repro.core.experiment import run_single
-
-        cfg = ExperimentConfig(
-            scheme="R2", n_clusters=3, nodes_per_cluster=16,
-            duration=900.0, offered_load=2.0, drain=True, seed=20060619,
-        )
-        result = run_single(cfg)
-        stretches = list(result.stretches())
-        assert len(stretches) >= 50  # the bound below presumes real data
-        online = result.online_metrics["metrics"]["stretch"]
-        assert online["count"] == len(stretches)
-        bounds = {0.5: 0.15, 0.9: 0.05, 0.99: 0.05}
-        for p, bound in bounds.items():
-            estimate = online["quantiles"][quantile_label(p)]
-            assert cdf_error(stretches, estimate, p) <= bound, (
-                f"p={p}: estimate {estimate} breaches the documented "
-                f"CDF-error bound {bound}"
-            )
+        """The documented bound is exactness, bit for bit."""
+        result = _run()
+        assert len(result.jobs) >= 50
+        metrics = result.online_metrics["metrics"]
+        for name, values in (("stretch", result.stretches()),
+                             ("wait", result.waits())):
+            online = metrics[name]
+            assert online["count"] == len(values)
+            pooled = sorted(values.tolist())
+            for p in ONLINE_QUANTILES:
+                assert online["quantiles"][quantile_label(p)] == (
+                    _exact_quantile(pooled, p)
+                ), (name, p)
 
     def test_online_moments_exactly_match_post_hoc(self):
-        from repro.core.config import ExperimentConfig
-        from repro.core.experiment import run_single
-
-        cfg = ExperimentConfig(
-            scheme="HALF", n_clusters=2, nodes_per_cluster=16,
-            duration=600.0, drain=True, seed=7,
-        )
-        result = run_single(cfg)
+        result = _run(scheme="HALF", n_clusters=2, duration=600.0,
+                      offered_load=None, seed=7)
         stretches = result.stretches()
         online = result.online_metrics["metrics"]["stretch"]
         assert online["count"] == stretches.size
         assert online["mean"] == pytest.approx(
             float(stretches.mean()), rel=1e-9
         )
+        assert online["max"] == float(stretches.max())
         waste = result.online_metrics["metrics"]["wasted_node_seconds"]
         assert waste["total"] == pytest.approx(
             result.wasted_node_seconds, rel=1e-9, abs=1e-9
         )
+
+
+class TestWasteMatchesDuplicateStarts:
+    """Waste is charged once per duplicate start, up to the horizon."""
+
+    @staticmethod
+    def _run_with_duplicates(monkeypatch, **overrides):
+        """``run_single`` plus the coordinator it built."""
+        from repro.core import experiment
+
+        built = []
+        real = experiment.Coordinator
+
+        def capture(*args, **kwargs):
+            built.append(real(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(experiment, "Coordinator", capture)
+        result = _run(**overrides)
+        (coordinator,) = built
+        return result, coordinator
+
+    def _check(self, result, coordinator):
+        duplicates = coordinator.duplicate_starts
+        assert duplicates, "the scenario must produce duplicate starts"
+        waste = result.online_metrics["metrics"]["wasted_node_seconds"]
+        assert waste["count"] == len(duplicates)
+        assert waste["total"] == pytest.approx(
+            result.wasted_node_seconds, rel=1e-12
+        )
+        return duplicates
+
+    def test_cancel_on_complete(self, monkeypatch):
+        result, coordinator = self._run_with_duplicates(
+            monkeypatch, scheme="ALL", cancellation_policy="cancel-on-complete",
+        )
+        duplicates = self._check(result, coordinator)
+        assert all(r.end_time is not None for r in duplicates)
+
+    def test_duplicates_cut_by_the_horizon(self, monkeypatch):
+        result, coordinator = self._run_with_duplicates(
+            monkeypatch, scheme="ALL", cancellation_latency=60.0,
+            drain=False,
+        )
+        duplicates = self._check(result, coordinator)
+        assert any(r.end_time is None for r in duplicates), (
+            "the scenario must leave a duplicate running at the horizon"
+        )
+
+
+class TestEndOfRunPayload:
+    def test_negative_wait_still_raises(self):
+        from repro.core.experiment import _online_payload
+        from repro.core.results import JobOutcome
+
+        job = JobOutcome(
+            job_id=0, origin=0, winner_cluster=0, nodes=1, runtime=10.0,
+            requested_time=10.0, submit_time=100.0, start_time=95.0,
+            end_time=105.0, uses_redundancy=False, n_copies=1,
+        )
+        with pytest.raises(ValueError, match="negative wait"):
+            _online_payload([job], [], now=105.0)
+
+    def test_estimators_run_once_per_run(self, monkeypatch):
+        """One call of each, whatever the job count: no per-event work."""
+        calls = {"observe_completion": 0, "observe_waste": 0}
+        for name in calls:
+            real = getattr(OnlineMetrics, name)
+
+            def counted(self, *args, _real=real, _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(self, *args, **kwargs)
+
+            monkeypatch.setattr(OnlineMetrics, name, counted)
+        result = _run(scheme="ALL", cancellation_latency=60.0)
+        assert len(result.jobs) > 100
+        assert result.online_metrics["metrics"]["wasted_node_seconds"]["count"]
+        assert calls == {"observe_completion": 1, "observe_waste": 1}

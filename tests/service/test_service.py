@@ -139,6 +139,31 @@ class TestJobLifecycle:
             client.results_bytes(job_id)
         assert err.value.status == 404
 
+    def test_cancel_before_the_job_thread_builds_its_orchestrator(
+        self, service, monkeypatch
+    ):
+        """A cancel that wins the race with job start still ends the job."""
+        import repro.service.server as server
+
+        svc, client = service
+        before = client.health()["jobs_running"]
+        cancel_sent = threading.Event()
+        real = server.Orchestrator
+
+        def after_cancel(*args, **kwargs):
+            cancel_sent.wait(timeout=30.0)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(server, "Orchestrator", after_cancel)
+        job_id = client.submit(
+            spec(executor="workqueue", lease_ttl_s=60.0).to_dict()
+        )
+        client.cancel(job_id)
+        cancel_sent.set()
+        assert svc.wait_idle(timeout=30.0), "job thread never stopped"
+        assert client.wait(job_id, timeout=30.0)["state"] == "cancelled"
+        assert client.health()["jobs_running"] == before
+
 
 class TestResume:
     def test_restart_resumes_pending_job(self, tmp_path):

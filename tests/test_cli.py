@@ -49,6 +49,26 @@ class TestParser:
                 ["trace", "filter", "t.jsonl", "--type", "nonsense"]
             )
 
+    @pytest.mark.parametrize("command", [
+        ["bench"],
+        ["trace", "record", "--out", "t"],
+        ["probe", "record", "--out", "p"],
+        ["job", "submit", "--url", "http://127.0.0.1:1"],
+    ])
+    def test_unknown_scheme_is_a_usage_error(self, command, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(command + ["--schemes", "R2", "BOGUS"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --schemes: unknown scheme 'BOGUS'" in err
+        assert "Traceback" not in err
+
+    def test_generalised_schemes_are_accepted(self):
+        args = build_parser().parse_args(
+            ["bench", "--schemes", "r2", "F0.25", "R7"]
+        )
+        assert args.schemes == ["r2", "F0.25", "R7"]
+
     def test_trace_subcommand_required(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["trace"])

@@ -20,10 +20,16 @@ failed and the executor raises
 :class:`~repro.core.orchestrator.TaskError` naming its first task —
 mirroring the process-pool executor's give-up semantics.
 
+The executor's thread does not poll: it sleeps on the queue's
+condition until a lease, completion, failure, expiry or cancel changes
+something, or until the earliest lease deadline falls due.
+
 Time is injected (``clock``) so tests drive lease expiry
 deterministically; the default is ``time.monotonic``, which never
 influences results — only *which worker* computes a chunk, and the
-results are worker-invariant by construction.
+results are worker-invariant by construction.  A fake clock's expiries
+surface on the next queue call: ``lease`` expires due leases first and
+wakes the executor.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ if TYPE_CHECKING:
     from ..orchestrator import Orchestrator, Task
     from ..results import ExperimentResult
 
-from ..orchestrator import SweepCancelled, TaskError
+from ..orchestrator import TaskError
 
 _log = logging.getLogger("repro.core.executors.workqueue")
 
@@ -74,7 +80,9 @@ class ChunkQueue:
     The queue tracks chunk state only (open / leased / done / failed);
     completed results are buffered for the executor to drain and feed
     the orchestrator.  All methods are safe to call from HTTP handler
-    threads concurrently with the executor's polling loop.
+    threads concurrently with the executor's thread, which sleeps in
+    :meth:`wait` until a lease, completion, failure, expiry or
+    :meth:`wake` changes the queue.
     """
 
     def __init__(
@@ -92,6 +100,10 @@ class ChunkQueue:
         self.max_attempts = max_attempts
         self._clock = clock
         self._lock = threading.Lock()
+        #: notified, with ``_version`` bumped, on every state change the
+        #: executor must react to; shares ``_lock``
+        self._changed = threading.Condition(self._lock)
+        self._version = 0
         self._chunks = {cid: list(tasks) for cid, tasks in chunks.items()}
         self._open = sorted(self._chunks)
         #: chunk_id -> (token, deadline, worker_id, attempt)
@@ -119,6 +131,7 @@ class ChunkQueue:
             self._attempts[cid] = attempt
             deadline = self._clock() + self.lease_ttl_s
             self._leased[cid] = (token, deadline, worker_id, attempt)
+            self._changed_locked()
             _log.debug(
                 "leased chunk %d to %s (token %d, attempt %d)",
                 cid, worker_id, token, attempt,
@@ -167,6 +180,7 @@ class ChunkQueue:
             self._failed.pop(chunk_id, None)
             self._done.add(chunk_id)
             self._completed_buffer.append((chunk_id, list(results)))
+            self._changed_locked()
             return fresh
 
     def fail(self, chunk_id: int, token: int, cause: str) -> bool:
@@ -186,6 +200,7 @@ class ChunkQueue:
             else:
                 self._open.append(chunk_id)
                 self._open.sort()
+            self._changed_locked()
             return True
 
     # -- executor-facing surface ----------------------------------------
@@ -212,7 +227,46 @@ class ChunkQueue:
             else:
                 self._open.append(cid)
                 self._open.sort()
+        if expired:
+            self._changed_locked()
         return expired
+
+    def _changed_locked(self) -> None:
+        self._version += 1
+        self._changed.notify_all()
+
+    def wake(self) -> None:
+        """Wake :meth:`wait` from outside the queue (e.g. a cancel)."""
+        with self._lock:
+            self._changed_locked()
+
+    def version(self) -> int:
+        """Change counter to hand to :meth:`wait`."""
+        with self._lock:
+            return self._version
+
+    def wait(self, seen: int) -> int:
+        """Sleep until the queue changes after ``seen``; return the new
+        counter.
+
+        Returns at once if a change already landed since ``seen`` was
+        read, and otherwise no later than the earliest lease deadline,
+        so an expiry is never slept through.  With nothing leased the
+        wait has no timeout.
+        """
+        with self._lock:
+            while self._version == seen:
+                if self._leased:
+                    timeout = min(
+                        deadline for _, deadline, _, _
+                        in self._leased.values()
+                    ) - self._clock()
+                    if timeout <= 0:
+                        break
+                else:
+                    timeout = None
+                self._changed.wait(timeout)
+            return self._version
 
     def drain_completed(
         self,
@@ -251,12 +305,13 @@ class ChunkQueue:
 class WorkQueueExecutor:
     """Serve pending chunks through a :class:`ChunkQueue` until drained.
 
-    The executor itself computes nothing: it polls the queue, feeds
-    completed results into the orchestrator, requeues expired leases,
-    and gives up (raising :class:`TaskError`) once a chunk exhausts its
-    attempt budget.  Workers reach the queue through whatever transport
-    wraps it — the HTTP routes of ``repro serve``, or direct method
-    calls in tests.
+    The executor itself computes nothing: its thread sleeps until the
+    queue changes (or the earliest lease falls due, or the sweep is
+    cancelled), then feeds completed results into the orchestrator,
+    requeues expired leases, and gives up (raising :class:`TaskError`)
+    once a chunk exhausts its attempt budget.  Workers reach the queue
+    through whatever transport wraps it — the HTTP routes of ``repro
+    serve``, or direct method calls in tests.
     """
 
     name = "work-queue"
@@ -265,13 +320,11 @@ class WorkQueueExecutor:
         self,
         lease_ttl_s: float = DEFAULT_LEASE_TTL_S,
         max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-        poll_interval_s: float = 0.05,
         clock: Callable[[], float] = time.monotonic,
         on_queue_ready: Optional[Callable[[ChunkQueue], None]] = None,
     ) -> None:
         self.lease_ttl_s = lease_ttl_s
         self.max_attempts = max_attempts
-        self.poll_interval_s = poll_interval_s
         self._clock = clock
         self._on_queue_ready = on_queue_ready
         self.queue: Optional[ChunkQueue] = None
@@ -289,25 +342,24 @@ class WorkQueueExecutor:
             # only once it is fully constructed.
             self._on_queue_ready(queue)
         try:
-            while True:
-                queue.expire()
-                for cid, results in queue.drain_completed():
-                    orchestrator.complete_chunk(cid, results)
-                failed = queue.first_failed()
-                if failed is not None:
-                    cid, (ci, rep), attempts = failed
-                    raise TaskError(
-                        orchestrator.unique[ci].describe(), rep,
-                        f"chunk {cid} exhausted {attempts} lease "
-                        f"attempt(s) on the work queue",
-                    )
-                if queue.outstanding() == 0:
-                    break
-                try:
+            with orchestrator.cancel_waker(queue.wake):
+                seen = queue.version()
+                while True:
+                    queue.expire()
+                    for cid, results in queue.drain_completed():
+                        orchestrator.complete_chunk(cid, results)
+                    failed = queue.first_failed()
+                    if failed is not None:
+                        cid, (ci, rep), attempts = failed
+                        raise TaskError(
+                            orchestrator.unique[ci].describe(), rep,
+                            f"chunk {cid} exhausted {attempts} lease "
+                            f"attempt(s) on the work queue",
+                        )
+                    if queue.outstanding() == 0:
+                        break
                     orchestrator.check_cancelled()
-                except SweepCancelled:
-                    raise
-                time.sleep(self.poll_interval_s)
+                    seen = queue.wait(seen)
             # One final drain: a completion can land between the last
             # drain and the outstanding()==0 check.
             for cid, results in queue.drain_completed():

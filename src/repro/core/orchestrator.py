@@ -41,11 +41,12 @@ from __future__ import annotations
 # heartbeat ETA; task results are keyed and reassembled by
 # (config, replication), never by host time
 
+import contextlib
 import logging
 import math
 import threading
 import time
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
 
 if TYPE_CHECKING:  # typing-only: obs imports core at runtime
     from ..obs.manifest import RunJournal
@@ -293,9 +294,11 @@ class Orchestrator:
         self.stats = stats
         self.metrics = metrics
         self.journal = journal
-        #: cooperative cancellation flag; executors poll it between
+        #: cooperative cancellation flag; executors check it between
         #: tasks/chunks and raise :class:`SweepCancelled`
         self.abort = threading.Event()
+        #: callbacks :meth:`cancel` runs to rouse sleeping executors
+        self._wakers: list[Callable[[], None]] = []
 
         # Deduplicate the grid (frozen dataclasses hash by content).
         self.unique: list[ExperimentConfig] = []
@@ -543,8 +546,28 @@ class Orchestrator:
         return snap
 
     def cancel(self) -> None:
-        """Request cooperative cancellation (executors poll the flag)."""
+        """Request cooperative cancellation (executors check the flag)."""
         self.abort.set()
+        with self._lock:
+            wakers = list(self._wakers)
+        for wake in wakers:
+            wake()
+
+    @contextlib.contextmanager
+    def cancel_waker(self, wake: Callable[[], None]) -> Iterator[None]:
+        """Have :meth:`cancel` call ``wake`` while the block runs.
+
+        For an executor that sleeps until woken: it registers before
+        its first :meth:`check_cancelled`, so a cancel either sets the
+        flag before that check or finds the waker registered.
+        """
+        with self._lock:
+            self._wakers.append(wake)
+        try:
+            yield
+        finally:
+            with self._lock:
+                self._wakers.remove(wake)
 
     def check_cancelled(self) -> None:
         """Raise :class:`SweepCancelled` if cancellation was requested."""

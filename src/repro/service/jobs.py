@@ -220,6 +220,9 @@ class JobStore:
         self.jobs_dir.mkdir(parents=True, exist_ok=True)
         self._lock = threading.Lock()
         self._cache: Optional[ResultCache] = None
+        #: highest job number allocated so far; None until the first
+        #: create_job scans ``jobs_dir`` for it
+        self._last_id: Optional[int] = None
 
     def cache(self) -> ResultCache:
         """The disk result cache shared by every job (resume substrate)."""
@@ -241,18 +244,39 @@ class JobStore:
             if p.is_dir() and p.name.startswith("job-")
         )
 
+    def _highest_id(self) -> int:
+        """The highest ``job-NNNN`` number on disk (0 when there is none)."""
+        return max(
+            (int(j.split("-", 1)[1]) for j in self.job_ids()
+             if j.split("-", 1)[1].isdigit()),
+            default=0,
+        )
+
     def create_job(self, spec: JobSpec) -> str:
-        """Persist a new job's spec and pending status; returns its id."""
+        """Persist a new job's spec and pending status; returns its id.
+
+        Ids come from an in-memory counter seeded by one scan of
+        ``jobs_dir``, so a submit costs the same however many jobs the
+        store holds.  ``mkdir`` stays the collision guard: a directory
+        made behind the store's back (by hand, by another process)
+        triggers one rescan and a retry past it.
+        """
         with self._lock:
-            existing = self.job_ids()
-            n = 1 + max(
-                (int(j.split("-", 1)[1]) for j in existing
-                 if j.split("-", 1)[1].isdigit()),
-                default=0,
-            )
-            job_id = f"job-{n:04d}"
-            jdir = self.job_dir(job_id)
-            jdir.mkdir(parents=True)
+            if self._last_id is None:
+                self._last_id = self._highest_id()
+            rescanned = False
+            while True:
+                self._last_id += 1
+                job_id = f"job-{self._last_id:04d}"
+                jdir = self.job_dir(job_id)
+                try:
+                    jdir.mkdir(parents=True)
+                    break
+                except FileExistsError:
+                    if rescanned:
+                        raise
+                    rescanned = True
+                    self._last_id = self._highest_id()
         _write_json_atomic(jdir / "spec.json", spec.to_dict())
         self.write_status(job_id, state="pending")
         return job_id

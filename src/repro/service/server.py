@@ -135,7 +135,7 @@ class SweepService:
     def wait_idle(self, timeout: float = 60.0) -> bool:
         """Block until no job is executing (tests/shutdown helper)."""
         deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
+        while True:
             with self._lock:
                 running = [
                     rt for rt in self._running.values()
@@ -143,8 +143,9 @@ class SweepService:
                 ]
             if not running:
                 return True
-            time.sleep(0.02)
-        return False
+            for rt in running:
+                if not rt.done.wait(max(0.0, deadline - time.monotonic())):
+                    return False
 
     def resume_incomplete(self) -> list[str]:
         """Re-launch every job a previous process left unfinished."""
@@ -154,9 +155,17 @@ class SweepService:
                 state = self.store.read_status(job_id).get("state")
             except (KeyError, ValueError):
                 state = "pending"  # spec exists but status is torn
-            if state in ("pending", "running"):
-                self._launch(job_id, self.store.spec(job_id))
-                resumed.append(job_id)
+            if state not in ("pending", "running"):
+                continue
+            try:
+                spec = self.store.spec(job_id)
+            except FileNotFoundError:
+                # A crash between create_job's mkdir and its spec write
+                # leaves a directory with nothing to run.
+                _log.warning("skipping %s: no spec.json", job_id)
+                continue
+            self._launch(job_id, spec)
+            resumed.append(job_id)
         return resumed
 
     def submit(self, spec: JobSpec) -> str:

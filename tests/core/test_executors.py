@@ -8,7 +8,10 @@ killed sweep never loses completed work and never recomputes it.
 """
 
 import dataclasses
+import statistics
+import sys
 import threading
+import time
 
 import pytest
 
@@ -19,7 +22,7 @@ from repro.core.executors import (
     InProcessExecutor,
     WorkQueueExecutor,
 )
-from repro.core.orchestrator import Orchestrator, TaskError
+from repro.core.orchestrator import Orchestrator, SweepCancelled, TaskError
 
 
 def tiny(**kw):
@@ -176,7 +179,7 @@ class TestWorkQueueExecutor:
             configs, 2, runner=fake_runner,
         ).execute(InProcessExecutor())
 
-        executor = WorkQueueExecutor(poll_interval_s=0.01)
+        executor = WorkQueueExecutor()
         orch = Orchestrator(configs, 2, runner=fake_runner, chunksize=1)
         orch.prepare()
         thread = drain_queue_in_thread(executor, fake_runner, orch.unique)
@@ -189,8 +192,7 @@ class TestWorkQueueExecutor:
     def test_exhausted_chunk_raises_task_error(self):
         clock = FakeClock()
         executor = WorkQueueExecutor(
-            lease_ttl_s=5.0, max_attempts=2, poll_interval_s=0.0,
-            clock=clock,
+            lease_ttl_s=5.0, max_attempts=2, clock=clock,
         )
         orch = Orchestrator([tiny()], 1, chunksize=1)
 
@@ -212,14 +214,166 @@ class TestWorkQueueExecutor:
         assert executor.queue is None, "queue unpublished on exit"
 
 
+
+class TestChunkQueueWait:
+    def test_returns_at_once_after_a_missed_change(self):
+        queue, _ = make_queue(1)
+        seen = queue.version()
+        queue.lease("w")  # lands between the caller's checks and its wait
+        t0 = time.monotonic()
+        assert queue.wait(seen) != seen
+        assert time.monotonic() - t0 < 1.0
+
+    def test_wake_ends_an_untimed_wait(self):
+        queue, _ = make_queue(1)
+        seen = queue.version()
+        threading.Timer(0.05, queue.wake).start()
+        assert queue.wait(seen) == seen + 1
+
+    def test_times_out_at_the_earliest_lease_deadline(self):
+        queue = ChunkQueue({0: [(0, 0)]}, lease_ttl_s=0.1)
+        queue.lease("w")
+        seen = queue.version()
+        t0 = time.monotonic()
+        assert queue.wait(seen) == seen, "a timeout is not a change"
+        assert 0.05 < time.monotonic() - t0 < 5.0
+        assert queue.expire() == [0]
+
+
+class ParkedJob:
+    """A work-queue sweep executing on a background thread."""
+
+    def __init__(self, n_chunks=1, **executor_kw):
+        self.executor = WorkQueueExecutor(**executor_kw)
+        self.orch = Orchestrator(
+            [tiny()], n_chunks, runner=fake_runner, chunksize=1,
+        )
+        ready = threading.Event()
+        self.executor._on_queue_ready = lambda queue: ready.set()
+        self.outcome = None
+        self.thread = threading.Thread(target=self._run, daemon=True)
+        self.thread.start()
+        assert ready.wait(timeout=10.0), "queue never published"
+        self.queue = self.executor.queue
+
+    def _run(self):
+        try:
+            self.outcome = self.orch.execute(self.executor)
+        except Exception as exc:
+            self.outcome = exc
+
+
+class TestEventDrivenExecutor:
+    """The job thread sleeps until something changes; it never polls."""
+
+    def test_parked_job_does_not_spin(self, monkeypatch):
+        calls = []
+        real = ChunkQueue.expire
+
+        def counting(self):
+            calls.append(time.monotonic())
+            return real(self)
+
+        monkeypatch.setattr(ChunkQueue, "expire", counting)
+        job = ParkedJob()
+        time.sleep(0.5)
+        assert len(calls) <= 2, f"{len(calls)} loop iterations while idle"
+        job.orch.cancel()
+        job.thread.join(timeout=10.0)
+        assert isinstance(job.outcome, SweepCancelled)
+
+    def test_completion_reaches_record_without_a_poll_delay(self):
+        job = ParkedJob(n_chunks=5)
+        recorded = threading.Event()
+        real = job.orch.record
+
+        def record(*args, **kwargs):
+            real(*args, **kwargs)
+            recorded.set()
+
+        job.orch.record = record
+        latencies = []
+        for _ in range(5):
+            lease = job.queue.lease("w")
+            results = [
+                (ci, rep, fake_runner(job.orch.unique[ci], rep))
+                for ci, rep in lease.tasks
+            ]
+            recorded.clear()
+            t0 = time.monotonic()
+            job.queue.complete(lease.chunk_id, lease.token, results)
+            assert recorded.wait(timeout=10.0)
+            latencies.append(time.monotonic() - t0)
+        job.thread.join(timeout=10.0)
+        assert [r.replication for r in job.outcome[0]] == [0, 1, 2, 3, 4]
+        # The retired 50 ms poll put the median near 25 ms.
+        assert statistics.median(latencies) < 0.01, latencies
+
+    def test_cancel_ends_a_parked_job_promptly(self):
+        job = ParkedJob()
+        time.sleep(0.1)  # let the job thread settle into its wait
+        t0 = time.monotonic()
+        job.orch.cancel()
+        job.thread.join(timeout=10.0)
+        assert isinstance(job.outcome, SweepCancelled)
+        assert time.monotonic() - t0 < 1.0
+        assert job.executor.queue is None
+
+    def test_abandoned_lease_expires_on_its_deadline(self):
+        """Nothing touches the queue after the lease: the job thread's
+        own timeout requeues the chunk."""
+        job = ParkedJob(lease_ttl_s=0.1)
+        lease = job.queue.lease("dead")
+        deadline = time.monotonic() + 10.0
+        while job.queue.snapshot()["open"] == 0:
+            assert time.monotonic() < deadline, "lease never expired"
+            time.sleep(0.01)
+        retry = job.queue.lease("live")
+        assert (retry.chunk_id, retry.attempt) == (lease.chunk_id, 2)
+        job.orch.cancel()
+        job.thread.join(timeout=10.0)
+        assert isinstance(job.outcome, SweepCancelled)
+
+    def test_many_workers_never_strand_the_job_thread(self):
+        """A lost wake-up would leave the job thread asleep with every
+        chunk done; a short switch interval makes the race likely."""
+        job = ParkedJob(n_chunks=200)
+        configs = job.orch.unique
+
+        def worker(worker_id):
+            while job.queue.outstanding():
+                lease = job.queue.lease(worker_id)
+                if lease is not None:
+                    job.queue.complete(lease.chunk_id, lease.token, [
+                        (ci, rep, fake_runner(configs[ci], rep))
+                        for ci, rep in lease.tasks
+                    ])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [
+                threading.Thread(target=worker, args=(f"w{k}",), daemon=True)
+                for k in range(8)
+            ]
+            for thread in workers:
+                thread.start()
+            for thread in workers:
+                thread.join(timeout=30.0)
+            job.thread.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not job.thread.is_alive(), "job thread stranded"
+        assert [r.replication for r in job.outcome[0]] == list(range(200))
+
+
 class TestCrashResume:
     """The tentpole guarantee: interrupted sweeps resume, never redo."""
 
     def test_dead_worker_chunk_is_recomputed_elsewhere(self):
         clock = FakeClock()
         executor = WorkQueueExecutor(
-            lease_ttl_s=5.0, max_attempts=3, poll_interval_s=0.01,
-            clock=clock,
+            lease_ttl_s=5.0, max_attempts=3, clock=clock,
         )
         orch = Orchestrator([tiny()], 3, runner=fake_runner, chunksize=1)
         orch.prepare()
@@ -321,7 +475,7 @@ class TestCrashResume:
         half = Orchestrator(configs, 2, cache=cache)
         half.execute(InProcessExecutor())  # reps 0..1 land in the cache
 
-        executor = WorkQueueExecutor(poll_interval_s=0.01)
+        executor = WorkQueueExecutor()
         resumed = Orchestrator(
             configs, 4, cache=ResultCache(tmp_path / "cache"),
             chunksize=1,

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import threading
 
 import pytest
 
@@ -124,6 +125,46 @@ class TestJobStore:
     def test_ids_continue_after_restart(self, tmp_path):
         JobStore(tmp_path).create_job(spec())
         assert JobStore(tmp_path).create_job(spec()) == "job-0002"
+
+    def test_ids_come_from_one_directory_scan(self, tmp_path, monkeypatch):
+        scans = []
+        real = JobStore.job_ids
+
+        def counting(self):
+            scans.append(1)
+            return real(self)
+
+        monkeypatch.setattr(JobStore, "job_ids", counting)
+        store = JobStore(tmp_path)
+        ids = [store.create_job(spec()) for _ in range(50)]
+        assert ids == [f"job-{n:04d}" for n in range(1, 51)]
+        assert len(scans) <= 1
+
+    def test_concurrent_submits_get_distinct_sequential_ids(self, tmp_path):
+        store = JobStore(tmp_path)
+        ids = []
+
+        def submit():
+            for _ in range(10):
+                ids.append(store.create_job(spec()))
+
+        threads = [threading.Thread(target=submit) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+        assert sorted(ids) == [f"job-{n:04d}" for n in range(1, 41)]
+
+    def test_reopened_store_skips_out_of_band_directories(self, tmp_path):
+        store = JobStore(tmp_path)
+        assert store.create_job(spec()) == "job-0001"
+        reopened = JobStore(tmp_path)
+        assert reopened.create_job(spec()) == "job-0002"
+        # Made behind both stores' backs, at the id they would use next.
+        (tmp_path / "jobs" / "job-0003").mkdir()
+        assert reopened.create_job(spec()) == "job-0004"
+        assert store.create_job(spec()) == "job-0005"
+        assert reopened.create_job(spec()) == "job-0006"
 
     def test_status_lifecycle(self, tmp_path):
         store = JobStore(tmp_path)

@@ -185,6 +185,20 @@ class TestResume:
             svc.wait_idle(timeout=30.0)
             svc.stop()
 
+    def test_torn_job_directory_does_not_block_startup(self, tmp_path):
+        """A crash between create_job's mkdir and its spec write leaves
+        a job directory without spec.json: startup skips it, and its id
+        is never handed out again."""
+        state = tmp_path / "state"
+        (state / "jobs" / "job-0001").mkdir(parents=True)
+        svc = SweepService(state, port=0)
+        try:
+            assert svc.resume_incomplete() == []
+            assert svc.submit(spec()) == "job-0002"
+        finally:
+            svc.wait_idle(timeout=60.0)
+            svc.stop()
+
     def test_restart_reuses_partial_progress(self, tmp_path):
         """Work completed before the 'crash' resolves from the shared
         disk cache — the resumed job only computes what is missing."""

@@ -23,7 +23,7 @@ Usage::
     repro probe plot-ascii runs/p/probes.jsonl --field utilisation
     repro probe compare runs/a/probes.jsonl runs/b/probes.jsonl
     repro probe export-chrome runs/p/probes.jsonl --out p.trace.json
-    repro serve --state-dir runs/svc --port 8642    # async sweep service
+    repro serve --state-dir runs/svc --port 8642    # HTTP sweep service
     repro worker --url http://127.0.0.1:8642        # lease + compute chunks
     repro job submit --url http://127.0.0.1:8642 --schemes R2 NONE \\
         --replications 2 --executor workqueue       # returns a job id

@@ -18,9 +18,10 @@ regardless of worker scheduling.  ``run_single`` being a pure function
 of ``(config, replication)`` is the invariant that makes all of that
 sound.
 
-Legacy private names (``_Heartbeat``, ``_fmt_eta``, ``_init_worker``,
-``_run_chunk``, ``_INFLIGHT_PER_WORKER``) are re-exported for
-callers and tests that grew against the single-module engine.
+``run_single`` is re-exported here because
+:class:`~repro.core.executors.InProcessExecutor` looks it up on this
+module at call time: patching ``repro.core.parallel.run_single``
+substitutes the per-task function of every serial run.
 """
 
 from __future__ import annotations
@@ -33,25 +34,9 @@ if TYPE_CHECKING:  # typing-only: obs imports core at runtime
 from .cache import ResultCache
 from .config import ExperimentConfig
 from .executors import InProcessExecutor, PoolExecutor
-from .executors.pool import _INFLIGHT_PER_WORKER  # noqa: F401  (re-export)
-from .executors.pool import _init_worker, _PoolBroken, _run_chunk  # noqa: F401
 from .experiment import run_single  # noqa: F401  (re-export; tests patch it)
-from .orchestrator import (  # noqa: F401  (re-exports)
-    GridStats,
-    Heartbeat,
-    Orchestrator,
-    ProgressFn,
-    RunnerFn,
-    SweepCancelled,
-    TaskError,
-    default_chunksize,
-    fmt_eta,
-)
+from .orchestrator import GridStats, Orchestrator, ProgressFn, RunnerFn
 from .results import ExperimentResult
-
-# Legacy aliases from the pre-split engine.
-_Heartbeat = Heartbeat
-_fmt_eta = fmt_eta
 
 
 def resolve_workers(
@@ -100,7 +85,8 @@ def run_grid(
     configs are simulated once and their result lists shared by value.
 
     A failing task is retried once (transient failures, crashed
-    workers); a second failure raises :class:`TaskError` naming the
+    workers); a second failure raises
+    :class:`~repro.core.orchestrator.TaskError` naming the
     ``(config, replication)``.  ``stats`` collects failure/retry
     counts.  ``runner`` substitutes the per-task function (it must be a
     picklable top-level callable; used by tests and benchmarks).

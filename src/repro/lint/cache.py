@@ -14,7 +14,7 @@ What is cached per file:
   — cheap to tokenize — pragma table);
 * the :class:`~repro.lint.effects.model.ModuleFacts` effect summary.
 
-The *project* phase (PURE001/PURE002, RACE002, BLK001 chains) is
+The *project* phase (PURE001/PURE002, RACE002 chains) is
 recomputed every run from the cached summaries.  That is the
 call-graph-transitive invalidation story: a changed file misses and is
 re-extracted, and because interprocedural conclusions are derived

@@ -2,8 +2,8 @@
 
 The per-file rule pack (DET/PAR/EXC/API) sees one AST at a time; the
 rules added in this package — purity contracts (PURE001/PURE002), lock
-discipline (RACE001/RACE002), executor-boundary safety (XPB001) and
-async blocking (BLK001) — need whole-project knowledge.  The pipeline:
+discipline (RACE001/RACE002) and executor-boundary safety (XPB001) —
+need whole-project knowledge.  The pipeline:
 
 * :mod:`~repro.lint.effects.extract` turns each
   :class:`~repro.lint.context.FileContext` into a
@@ -17,7 +17,7 @@ async blocking (BLK001) — need whole-project knowledge.  The pipeline:
   constructors or annotations);
 * :mod:`~repro.lint.effects.analysis` propagates summaries over the
   graph: transitive lock-acquisition sets to a fixpoint (RACE002) and
-  shortest effect witness chains via BFS (PURE001/BLK001);
+  shortest effect witness chains via BFS (PURE001);
 * :mod:`~repro.lint.effects.project` bundles the above with the
   engine's waiver tables into the :class:`ProjectContext` handed to
   every :class:`~repro.lint.rules.base.ProjectRule`.

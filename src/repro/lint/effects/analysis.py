@@ -1,16 +1,15 @@
 """Interprocedural propagation over the call graph.
 
-Two propagation shapes cover all four rule families:
+Two propagation shapes cover the interprocedural rule families:
 
 * :func:`transitive_acquires` — the classic monotone worklist fixpoint:
   every function's set of locks it may (transitively) acquire.  RACE002
   combines these with the per-region facts to build the lock-order
   graph and detect cycles.
-* :func:`effect_chains` — per-root breadth-first search used by PURE001
-  and BLK001.  Declared-pure roots and service coroutines are few, so a
-  BFS per root is cheaper (and yields shortest witness chains for
-  messages) than propagating full effect sets everywhere; cycles are
-  handled by the visited set.
+* :func:`effect_chains` — per-root breadth-first search used by
+  PURE001.  Declared-pure roots are few, so a BFS per root is cheaper
+  (and yields shortest witness chains for messages) than propagating
+  full effect sets everywhere; cycles are handled by the visited set.
 
 Both are deterministic: functions are processed in sorted-qualid order
 and out-edges in document order, so two runs over the same tree emit

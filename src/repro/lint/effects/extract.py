@@ -290,7 +290,6 @@ class _FunctionWalker:
             qualid=qualid,
             name=node.name,
             line=node.lineno,
-            is_async=isinstance(node, ast.AsyncFunctionDef),
             declared_pure=_is_declared_pure(node, scan.aliases),
         )
         self.local_types: dict[str, str] = {}

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-FACTS_SCHEMA_VERSION = 1
+FACTS_SCHEMA_VERSION = 2
 
 #: effect kinds an extracted :class:`EffectRecord` may carry.
 #: ``timing`` (``time.perf_counter`` and friends) is tracked but *not*
@@ -123,7 +123,6 @@ class FunctionFacts:
     qualid: str
     name: str
     line: int
-    is_async: bool = False
     declared_pure: bool = False
     effects: list[EffectRecord] = field(default_factory=list)
     calls: list[CallRecord] = field(default_factory=list)
@@ -134,7 +133,6 @@ class FunctionFacts:
             "qualid": self.qualid,
             "name": self.name,
             "line": self.line,
-            "is_async": self.is_async,
             "declared_pure": self.declared_pure,
             "effects": [e.to_dict() for e in self.effects],
             "calls": [c.to_dict() for c in self.calls],
@@ -147,7 +145,6 @@ class FunctionFacts:
             qualid=d["qualid"],
             name=d["name"],
             line=d["line"],
-            is_async=d["is_async"],
             declared_pure=d["declared_pure"],
             effects=[EffectRecord.from_dict(e) for e in d["effects"]],
             calls=[CallRecord.from_dict(c) for c in d["calls"]],

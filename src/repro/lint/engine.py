@@ -11,7 +11,7 @@ per-file rules plus extraction of the interprocedural effect summary
 (:mod:`repro.lint.effects`); both are served from the content-hash
 cache when one is configured.  Phase two assembles every summary into
 one :class:`~repro.lint.effects.project.ProjectContext` and runs the
-project rules (PURE001/PURE002, RACE001/RACE002, XPB001, BLK001) over
+project rules (PURE001/PURE002, RACE001/RACE002, XPB001) over
 the whole call graph.  Waivers, the pragma audit and the baseline are
 applied last, so project findings can be excused by pragmas in *any*
 file they reference.

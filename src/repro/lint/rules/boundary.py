@@ -1,5 +1,5 @@
 """Executor boundaries: XPB001 (unpicklable values crossing a process
-boundary) and BLK001 (blocking calls inside service coroutines).
+boundary).
 
 **XPB001** — every value captured into a ``ProcessPoolExecutor``
 submission, a pool ``initargs`` tuple, a ``multiprocessing.Process``
@@ -9,23 +9,12 @@ scope, locks/events, open file handles, sockets and ``TraceRecorder``
 instances (which hold an open stream) all fail at dispatch time — or
 worse, *appear* to work under fork-start while silently sharing state.
 The rule flags the capture site statically, before any pool exists.
-
-**BLK001** — ``repro.service`` hosts an asyncio HTTP front end; a
-coroutine that calls ``time.sleep``, ``subprocess``, or a sync
-socket/network API — directly or through any resolved callee — stalls
-the entire event loop, turning every in-flight request into a victim.
-Sync *handlers* invoked from a coroutine are fine (that design is
-documented in ``repro.service.http``); the rule only follows calls it
-can resolve statically, and a waiver at the blocking call's origin line
-excuses a deliberate exception.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterator
 
-from ..effects.analysis import effect_chains
-from ..effects.model import EffectRecord, FunctionFacts
 from ..findings import Finding, Severity
 from .base import ProjectRule, register
 
@@ -54,43 +43,3 @@ class Xpb001UnpicklableBoundaryCapture(ProjectRule):
                     f"{site.reason}; ship plain data (configs, indices, "
                     f"results) and rebuild stateful objects worker-side",
                 )
-
-
-@register
-class Blk001BlockingInCoroutine(ProjectRule):
-    """Blocking call reachable from an asyncio coroutine in the service."""
-
-    id = "BLK001"
-    severity = Severity.ERROR
-    summary = (
-        "blocking call (time.sleep, subprocess, sync socket/network) "
-        "inside an asyncio coroutine in repro.service"
-    )
-
-    def check_project(self, project: "ProjectContext") -> Iterator[Finding]:
-        graph = project.graph
-
-        def suppress(
-            owner: FunctionFacts, path: str, effect: EffectRecord
-        ) -> bool:
-            return project.try_waive(self.id, path, effect.line)
-
-        for qualid in sorted(graph.functions):
-            fn = graph.functions[qualid]
-            if not fn.is_async or not qualid.startswith("repro.service."):
-                continue
-            chain = effect_chains(
-                graph, qualid, ("blocking",), suppress
-            ).get("blocking")
-            if chain is None:
-                continue
-            # anchor at the first hop inside the coroutine itself: the
-            # offending call site (or the direct effect's own line)
-            line = chain.steps[0][1] if chain.steps else chain.effect.line
-            path = graph.function_path[qualid]
-            yield project.finding(
-                self.id, self.severity, path, line, 0,
-                f"coroutine {fn.name}() blocks the event loop: "
-                f"{chain.describe(fn.name + '()')}; use asyncio "
-                f"primitives or push the work onto a thread",
-            )

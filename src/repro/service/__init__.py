@@ -1,8 +1,8 @@
-"""Async sweep service: submit, monitor, resume and cancel grid jobs.
+"""Sweep service: submit, monitor, resume and cancel grid jobs.
 
 The service layer turns the :class:`~repro.core.orchestrator.Orchestrator`
 into a long-running system: ``repro serve`` hosts a small stdlib-only
-HTTP API (:mod:`repro.service.server`) over an asyncio socket server
+HTTP API (:mod:`repro.service.server`) over ``http.server``
 (:mod:`repro.service.http`); sweeps are submitted as jobs
 (:mod:`repro.service.jobs`), executed on any of the core executors —
 including the work-queue executor, whose chunks are leased to

@@ -1,26 +1,23 @@
-"""Minimal asyncio HTTP/1.1 server — stdlib sockets, no frameworks.
+"""Minimal HTTP/1.1 layer over stdlib ``http.server``, no frameworks.
 
-``asyncio.start_server`` gives us the listening socket and per
-connection streams; this module adds just enough HTTP/1.1 on top for a
-JSON control API: request-line + header parsing, ``Content-Length``
-bodies, and one response per connection (``Connection: close``).
-Deliberately not supported: chunked transfer, keep-alive, pipelining,
-TLS — the service binds loopback by default and every client we ship
-(:mod:`repro.service.client`, the worker, curl in CI) speaks this
-subset.
-
-Handlers are synchronous callables ``(HttpRequest) -> HttpResponse``;
-the routes in :mod:`repro.service.server` only touch in-memory state
-under short-lived locks and small files, so they run directly on the
-event loop.
+:func:`run_server_in_thread` serves a synchronous handler
+``(HttpRequest) -> HttpResponse`` from a single-threaded
+``HTTPServer`` on a daemon thread, one request per connection
+(``Connection: close``).  The routes in :mod:`repro.service.server`
+only touch in-memory state under short-lived locks and small files, so
+running them one at a time costs nothing.  Every response, errors
+included, is one :meth:`HttpResponse.encode` write: no stdlib
+``Server``/``Date`` headers, no HTML error page.  Not supported:
+chunked transfer, keep-alive, TLS — the service binds loopback by
+default and every client we ship speaks this subset.
 """
 
 from __future__ import annotations
 
-import asyncio
 import json
 import logging
 import threading
+from http.server import BaseHTTPRequestHandler, HTTPServer
 from typing import Callable, Optional
 from urllib.parse import parse_qs, unquote, urlsplit
 
@@ -29,7 +26,9 @@ _log = logging.getLogger("repro.service.http")
 #: refuse request bodies beyond this (the largest legitimate payload is
 #: a completed chunk of pickled results; smoke-scale chunks are ~100 kB)
 MAX_BODY_BYTES = 256 * 1024 * 1024
-MAX_HEADER_BYTES = 64 * 1024
+
+#: how often ``serve_forever`` checks for :meth:`BackgroundServer.stop`
+POLL_INTERVAL_S = 0.05
 
 
 class HttpError(Exception):
@@ -75,8 +74,10 @@ class HttpResponse:
     REASONS = {
         200: "OK", 201: "Created", 204: "No Content", 400: "Bad Request",
         404: "Not Found", 405: "Method Not Allowed", 409: "Conflict",
-        413: "Payload Too Large", 500: "Internal Server Error",
-        503: "Service Unavailable",
+        413: "Payload Too Large", 414: "URI Too Long",
+        431: "Request Header Fields Too Large",
+        500: "Internal Server Error", 501: "Not Implemented",
+        503: "Service Unavailable", 505: "HTTP Version Not Supported",
     }
 
     def __init__(
@@ -107,103 +108,102 @@ class HttpResponse:
 Handler = Callable[[HttpRequest], HttpResponse]
 
 
-async def _read_request(reader: asyncio.StreamReader) -> Optional[HttpRequest]:
-    try:
-        head = await reader.readuntil(b"\r\n\r\n")
-    except asyncio.IncompleteReadError:
-        return None  # connection closed before a full request arrived
-    except asyncio.LimitOverrunError:
-        raise HttpError(413, "headers too large") from None
-    if len(head) > MAX_HEADER_BYTES:
-        raise HttpError(413, "headers too large")
-    lines = head.decode("latin-1").split("\r\n")
-    try:
-        method, target, version = lines[0].split(" ", 2)
-    except ValueError:
-        raise HttpError(400, f"malformed request line {lines[0]!r}") from None
-    if not version.startswith("HTTP/1."):
-        raise HttpError(400, f"unsupported protocol {version!r}")
-    headers: dict[str, str] = {}
-    for line in lines[1:]:
-        if not line:
-            continue
-        name, sep, value = line.partition(":")
-        if not sep:
-            raise HttpError(400, f"malformed header line {line!r}")
-        headers[name.strip().lower()] = value.strip()
-    length_text = headers.get("content-length", "0")
-    try:
-        length = int(length_text)
-    except ValueError:
-        raise HttpError(400, f"bad Content-Length {length_text!r}") from None
-    if length < 0 or length > MAX_BODY_BYTES:
-        raise HttpError(413, f"body of {length} bytes refused")
-    body = await reader.readexactly(length) if length else b""
-    return HttpRequest(method.upper(), target, headers, body)
+class _RequestHandler(BaseHTTPRequestHandler):
+    """Adapts one stdlib request to the server's :data:`Handler`."""
 
+    server: "BackgroundServer"
+    timeout = 10.0  # seconds a stalled client may hold the serving thread
 
-class HttpServer:
-    """Serve a synchronous handler over ``asyncio.start_server``."""
-
-    def __init__(
-        self, handler: Handler, host: str = "127.0.0.1", port: int = 0
-    ) -> None:
-        self.handler = handler
-        self.host = host
-        self.port = port
-        self._server: Optional[asyncio.AbstractServer] = None
-
-    async def start(self) -> int:
-        """Bind and start accepting; returns the bound port."""
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port,
-            limit=MAX_HEADER_BYTES,
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
-        _log.info("listening on http://%s:%d", self.host, self.port)
-        return self.port
-
-    async def serve_forever(self) -> None:
-        assert self._server is not None, "call start() first"
-        async with self._server:
-            await self._server.serve_forever()
-
-    async def close(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
+    def _serve(self) -> None:
         try:
-            try:
-                request = await _read_request(reader)
-                if request is None:
-                    return
-                response = self.handler(request)
-            except HttpError as err:
-                response = HttpResponse.json(
-                    {"error": err.message}, status=err.status
-                )
-            except Exception:  # repro-lint: disable=EXC001 -- connection
-                # boundary: one bad request must not take the service
-                # down; the traceback is logged and the client gets 500
-                _log.exception("handler crashed")
-                response = HttpResponse.json(
-                    {"error": "internal server error"}, status=500
-                )
-            writer.write(response.encode())
-            await writer.drain()
-        except (ConnectionResetError, BrokenPipeError):
-            pass  # client went away mid-response; nothing to salvage
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
+            response = self.server.handler(self._read_request())
+        except HttpError as err:
+            response = HttpResponse.json(
+                {"error": err.message}, status=err.status
+            )
+        except Exception:  # repro-lint: disable=EXC001 -- connection
+            # boundary: one bad request must not take the service
+            # down; the traceback is logged and the client gets 500
+            _log.exception("handler crashed")
+            response = HttpResponse.json(
+                {"error": "internal server error"}, status=500
+            )
+        self.wfile.write(response.encode())
+
+    # the Router answers 404/405, so every common method reaches it
+    do_GET = do_POST = do_PUT = do_DELETE = do_PATCH = _serve
+    do_HEAD = do_OPTIONS = _serve
+
+    def _read_request(self) -> HttpRequest:
+        headers = {
+            name.lower(): value.strip() for name, value in self.headers.items()
+        }
+        length_text = headers.get("content-length", "0")
+        try:
+            length = int(length_text)
+        except ValueError:
+            raise HttpError(400, f"bad Content-Length {length_text!r}") from None
+        if length < 0 or length > MAX_BODY_BYTES:
+            raise HttpError(413, f"body of {length} bytes refused")
+        body = self.rfile.read(length) if length else b""
+        if len(body) < length:  # the client hung up mid-body
+            raise HttpError(400, "request body truncated")
+        return HttpRequest(self.command, self.path, headers, body)
+
+    def handle(self) -> None:
+        try:
+            super().handle()
+        except ConnectionError:
+            pass  # client went away mid-request; nothing to salvage
+
+    def send_error(
+        self, code: int, message: Optional[str] = None,
+        explain: Optional[str] = None,
+    ) -> None:
+        """Protocol errors stdlib detects get the JSON error shape too."""
+        if message is None:
+            message = self.responses.get(code, ("error",))[0]
+        self.wfile.write(
+            HttpResponse.json({"error": message}, status=code).encode()
+        )
+
+    def log_message(self, format: str, *args: object) -> None:
+        pass  # no per-request access log
+
+
+class BackgroundServer(HTTPServer):
+    """A bound single-threaded server answering on a daemon thread."""
+
+    request_queue_size = 100  # listen backlog; socketserver's 5 drops bursts
+
+    def __init__(self, handler: Handler, host: str, port: int) -> None:
+        super().__init__((host, port), _RequestHandler)
+        self.handler = handler
+        self.port = self.server_port
+        self.thread = threading.Thread(
+            target=self.serve_forever, args=(POLL_INTERVAL_S,),
+            name="repro-http", daemon=True,
+        )
+
+    def stop(self, timeout: float = 10.0) -> None:
+        """Stop serving, free the port and join the thread."""
+        self.shutdown()
+        self.server_close()
+        self.thread.join(timeout=timeout)
+
+
+def run_server_in_thread(
+    handler: Handler, host: str = "127.0.0.1", port: int = 0,
+) -> BackgroundServer:
+    """Serve ``handler`` on a daemon thread (tests, service).
+
+    Returns once the socket is bound; ``.port`` is the live port and
+    ``.stop()`` shuts the server down.
+    """
+    server = BackgroundServer(handler, host, port)
+    server.thread.start()
+    _log.info("listening on http://%s:%d", host, server.port)
+    return server
 
 
 RouteHandler = Callable[..., HttpResponse]
@@ -250,61 +250,3 @@ class Router:
             elif part != segment:
                 return None
         return params
-
-
-def run_server_in_thread(
-    handler: Handler, host: str = "127.0.0.1", port: int = 0,
-) -> "ThreadedHttpServer":
-    """Start an :class:`HttpServer` on a daemon thread (tests, service).
-
-    Returns once the socket is bound; ``.port`` is the live port and
-    ``.stop()`` shuts the loop down.
-    """
-    server = HttpServer(handler, host, port)
-    started = threading.Event()
-    box: dict[str, object] = {}
-
-    def runner() -> None:
-        loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(loop)
-        box["loop"] = loop
-        try:
-            loop.run_until_complete(server.start())
-            started.set()
-            loop.run_forever()
-        finally:
-            loop.run_until_complete(server.close())
-            loop.close()
-
-    thread = threading.Thread(
-        target=runner, name="repro-http", daemon=True
-    )
-    thread.start()
-    if not started.wait(timeout=10.0):
-        raise RuntimeError("HTTP server failed to start within 10 s")
-    loop = box["loop"]
-    assert isinstance(loop, asyncio.AbstractEventLoop)
-    return ThreadedHttpServer(server, loop, thread)
-
-
-class ThreadedHttpServer:
-    """Handle to a server running on its own event-loop thread."""
-
-    def __init__(
-        self,
-        server: HttpServer,
-        loop: asyncio.AbstractEventLoop,
-        thread: threading.Thread,
-    ) -> None:
-        self.server = server
-        self.loop = loop
-        self.thread = thread
-
-    @property
-    def port(self) -> int:
-        return self.server.port
-
-    def stop(self, timeout: float = 10.0) -> None:
-        if self.loop.is_running():
-            self.loop.call_soon_threadsafe(self.loop.stop)
-        self.thread.join(timeout=timeout)

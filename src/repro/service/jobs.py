@@ -32,6 +32,8 @@ from __future__ import annotations
 import base64
 import dataclasses
 import json
+import math
+import numbers
 import os
 import pickle
 import tempfile
@@ -140,6 +142,14 @@ def decode_chunk_results(
     return out
 
 
+def _check_int(name: str, value: object, minimum: int) -> None:
+    """Reject a non-integer (bool, float and str included) or small value."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+
+
 @dataclasses.dataclass(frozen=True)
 class JobSpec:
     """Everything needed to (re)build one sweep job's orchestrator."""
@@ -156,16 +166,22 @@ class JobSpec:
     def __post_init__(self) -> None:
         if not self.configs:
             raise ValueError("a job needs at least one config")
-        if self.n_replications < 1:
-            raise ValueError(
-                f"need >= 1 replication, got {self.n_replications}"
-            )
+        _check_int("n_replications", self.n_replications, 1)
+        _check_int("first_replication", self.first_replication, 0)
         if self.executor not in EXECUTORS:
             raise ValueError(
                 f"unknown executor {self.executor!r}; choose from {EXECUTORS}"
             )
-        if self.n_workers < 1:
-            raise ValueError(f"n_workers must be >= 1, got {self.n_workers}")
+        _check_int("n_workers", self.n_workers, 1)
+        if self.chunksize is not None:
+            _check_int("chunksize", self.chunksize, 1)
+        ttl = self.lease_ttl_s
+        if (isinstance(ttl, bool) or not isinstance(ttl, numbers.Real)
+                or not math.isfinite(ttl) or ttl <= 0):
+            raise ValueError(
+                f"lease_ttl_s must be a finite number > 0, got {ttl!r}"
+            )
+        _check_int("max_attempts", self.max_attempts, 1)
         object.__setattr__(self, "configs", tuple(self.configs))
 
     def to_dict(self) -> dict:
@@ -182,6 +198,8 @@ class JobSpec:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "JobSpec":
+        if not isinstance(payload, dict):
+            raise ValueError("spec must be a JSON object")
         data = dict(payload)
         raw_configs = data.pop("configs", None)
         if not isinstance(raw_configs, list) or not raw_configs:
@@ -190,7 +208,10 @@ class JobSpec:
         unknown = sorted(set(data) - known)
         if unknown:
             raise ValueError(f"unknown JobSpec field(s): {unknown}")
-        configs = tuple(config_from_dict(c) for c in raw_configs)
+        try:
+            configs = tuple(config_from_dict(c) for c in raw_configs)
+        except TypeError as exc:
+            raise ValueError(f"bad config: {exc}") from None
         return cls(configs=configs, **data)
 
 

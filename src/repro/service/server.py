@@ -47,11 +47,11 @@ from ..core.executors.workqueue import ChunkQueue
 from ..core.orchestrator import Orchestrator, SweepCancelled, TaskError
 from ..obs.manifest import RunJournal, build_manifest
 from .http import (
+    BackgroundServer,
     HttpError,
     HttpRequest,
     HttpResponse,
     Router,
-    ThreadedHttpServer,
     run_server_in_thread,
 )
 from .jobs import (
@@ -93,7 +93,7 @@ class SweepService:
         self.port = port
         self._running: dict[str, _JobRuntime] = {}
         self._lock = threading.Lock()
-        self._http: Optional[ThreadedHttpServer] = None
+        self._http: Optional[BackgroundServer] = None
         self.router = Router()
         self.router.add("GET", "/healthz", self._route_health)
         self.router.add("POST", "/v1/jobs", self._route_submit)
@@ -159,10 +159,11 @@ class SweepService:
                 continue
             try:
                 spec = self.store.spec(job_id)
-            except FileNotFoundError:
+            except (FileNotFoundError, ValueError) as exc:
                 # A crash between create_job's mkdir and its spec write
-                # leaves a directory with nothing to run.
-                _log.warning("skipping %s: no spec.json", job_id)
+                # leaves no spec, and one an older build accepted may no
+                # longer validate: either way there is nothing to run.
+                _log.warning("skipping %s: %s", job_id, exc)
                 continue
             self._launch(job_id, spec)
             resumed.append(job_id)

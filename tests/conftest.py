@@ -12,6 +12,32 @@ from repro.sched.job import Request
 from repro.sim.engine import Simulator
 
 
+#: one malformed value per JobSpec field, as it could arrive in JSON:
+#: each must be refused at submit time (JobSpec, the HTTP route, the CLI)
+BAD_SPEC_FIELDS = [
+    ("n_replications", "3"),
+    ("n_replications", 0),
+    ("n_replications", 2.0),
+    ("n_replications", True),
+    ("first_replication", -5),
+    ("first_replication", "0"),
+    ("executor", "telegraph"),
+    ("n_workers", 0),
+    ("n_workers", 1.5),
+    ("chunksize", 0),
+    ("chunksize", -3),
+    ("chunksize", "2"),
+    ("lease_ttl_s", -1),
+    ("lease_ttl_s", 0),
+    ("lease_ttl_s", float("nan")),
+    ("lease_ttl_s", float("inf")),
+    ("lease_ttl_s", "x"),
+    ("lease_ttl_s", True),
+    ("max_attempts", 0),
+    ("max_attempts", 2.5),
+]
+
+
 def make_request(
     nodes: int = 1,
     runtime: float = 10.0,

@@ -6,7 +6,8 @@ import pytest
 
 from repro.core.cache import ResultCache
 from repro.core.config import ExperimentConfig
-from repro.core.parallel import SweepEngine, default_chunksize, run_grid
+from repro.core.orchestrator import Heartbeat, default_chunksize, fmt_eta
+from repro.core.parallel import SweepEngine, run_grid
 from repro.core.runner import compare_schemes, paired_nonadopter_penalty
 
 
@@ -105,16 +106,12 @@ class TestHeartbeat:
         assert "2/2" in messages[0] and "cache" in messages[0]
 
     def test_fmt_eta_ranges(self):
-        from repro.core.parallel import _fmt_eta
-
-        assert _fmt_eta(42.0) == "42s"
-        assert _fmt_eta(190.0) == "3m10s"
-        assert _fmt_eta(2 * 3600.0 + 5 * 60.0) == "2h05m"
-        assert _fmt_eta(-3.0) == "0s"
+        assert fmt_eta(42.0) == "42s"
+        assert fmt_eta(190.0) == "3m10s"
+        assert fmt_eta(2 * 3600.0 + 5 * 60.0) == "2h05m"
+        assert fmt_eta(-3.0) == "0s"
 
     def test_suffix_weights_stretch_by_count(self):
-        from repro.core.parallel import _Heartbeat
-
         def fake(count, p50, p99):
             class R:
                 online_metrics = {
@@ -128,7 +125,7 @@ class TestHeartbeat:
 
             return R()
 
-        hb = _Heartbeat(total=4, cache_hits=0)
+        hb = Heartbeat(total=4, cache_hits=0)
         hb.observe(fake(1, 1.0, 2.0), computed=True)
         hb.observe(fake(3, 5.0, 10.0), computed=True)
         suffix = hb.suffix()
@@ -137,9 +134,7 @@ class TestHeartbeat:
         assert "eta" in suffix  # 2 of 4 done, rate is known
 
     def test_suffix_empty_without_signal(self):
-        from repro.core.parallel import _Heartbeat
-
-        hb = _Heartbeat(total=2, cache_hits=0)
+        hb = Heartbeat(total=2, cache_hits=0)
 
         class Bare:
             pass
@@ -180,9 +175,7 @@ class TestHeartbeat:
     def test_observe_counts_cache_hits_dynamically(self):
         """Regression: mid-run cache hits (``computed=False``) must be
         folded into the hit-rate, not silently dropped."""
-        from repro.core.parallel import _Heartbeat
-
-        hb = _Heartbeat(total=4)
+        hb = Heartbeat(total=4)
         hb.observe(object(), computed=False)
         hb.observe(object(), computed=True)
         assert hb.cache_hits == 1
@@ -192,8 +185,6 @@ class TestHeartbeat:
     def test_observe_tolerates_nan_free_payload_shapes(self):
         """Regression: the online payload contract serialises undefined
         values as ``None`` at *any* level; none of these may raise."""
-        from repro.core.parallel import _Heartbeat
-
         shapes = [
             None,
             "not a dict",
@@ -210,7 +201,7 @@ class TestHeartbeat:
                 "quantiles": {"p50": float("nan"), "p99": float("nan")},
             }}},
         ]
-        hb = _Heartbeat(total=len(shapes), cache_hits=0)
+        hb = Heartbeat(total=len(shapes), cache_hits=0)
         for payload in shapes:
             record = type("R", (), {"online_metrics": payload})()
             hb.observe(record, computed=True)

@@ -15,12 +15,8 @@ import pytest
 from repro.core.cache import ResultCache
 from repro.core.config import ExperimentConfig
 from repro.core.experiment import run_single
-from repro.core.parallel import (
-    GridStats,
-    TaskError,
-    resolve_workers,
-    run_grid,
-)
+from repro.core.orchestrator import TaskError
+from repro.core.parallel import GridStats, resolve_workers, run_grid
 
 
 def tiny(**kw):

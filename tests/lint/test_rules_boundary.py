@@ -1,4 +1,4 @@
-"""XPB001/BLK001: executor-boundary picklability and event-loop safety."""
+"""XPB001: executor-boundary picklability."""
 
 from .conftest import assert_rule_matches, rule_findings
 
@@ -21,30 +21,3 @@ class TestXpb001:
         assert "'self' of Dispatcher" in reasons
         assert "lock attribute self._lock" in reasons
 
-
-class TestBlk001:
-    def test_positive_fixture(self):
-        assert_rule_matches("repro/service/blk001_coroutine.py", "BLK001")
-
-    def test_negative_fixture(self):
-        assert rule_findings("repro/service/blk001_ok.py", "BLK001") == []
-
-    def test_transitive_chain_named(self):
-        findings = rule_findings(
-            "repro/service/blk001_coroutine.py", "BLK001"
-        )
-        transitive = next(
-            f.message for f in findings if "handle_transitive" in f.message
-        )
-        assert "via handle_transitive() -> _drain()" in transitive
-
-    def test_only_service_coroutines_in_scope(self, lint_snippet):
-        # same blocking body, but outside repro.service: out of scope
-        findings = lint_snippet(
-            "import time\n"
-            "async def tick():\n"
-            "    time.sleep(1)\n",
-            name="repro/core/not_service.py",
-            rules={"BLK001"},
-        )
-        assert findings == []

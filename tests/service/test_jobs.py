@@ -17,6 +17,8 @@ from repro.service.jobs import (
     encode_chunk_results,
 )
 
+from ..conftest import BAD_SPEC_FIELDS
+
 
 def tiny(**kw):
     defaults = dict(
@@ -111,6 +113,36 @@ class TestJobSpec:
     def test_rejects_nonpositive_replications(self):
         with pytest.raises(ValueError, match="replication"):
             spec(n_replications=0)
+
+    @pytest.mark.parametrize("field, value", BAD_SPEC_FIELDS)
+    def test_rejects_malformed_field(self, field, value):
+        payload = spec().to_dict()
+        payload[field] = value
+        with pytest.raises(ValueError, match=field):
+            JobSpec.from_dict(payload)
+
+    @pytest.mark.parametrize("field, value", [
+        ("first_replication", 7),
+        ("chunksize", None),
+        ("chunksize", 4),
+        ("lease_ttl_s", 5),
+        ("lease_ttl_s", 0.25),
+        ("max_attempts", 1),
+    ])
+    def test_accepts_well_formed_field(self, field, value):
+        payload = spec().to_dict()
+        payload[field] = value
+        assert getattr(JobSpec.from_dict(payload), field) == value
+
+    @pytest.mark.parametrize("payload, message", [
+        ([1, 2], "JSON object"),
+        ({"configs": [3], "n_replications": 1}, "bad config"),
+        ({"configs": [{"n_clusters": "3"}], "n_replications": 1},
+         "bad config"),
+    ])
+    def test_rejects_malformed_shapes(self, payload, message):
+        with pytest.raises(ValueError, match=message):
+            JobSpec.from_dict(payload)
 
 
 class TestJobStore:

@@ -8,6 +8,7 @@ a restarted server resumes incomplete jobs from the shared disk cache
 instead of recomputing finished work.
 """
 
+import json
 import threading
 
 import pytest
@@ -22,6 +23,8 @@ from repro.service.client import ServiceClient, ServiceError
 from repro.service.jobs import JobSpec, JobStore, canonical_grid_json
 from repro.service.server import SweepService
 from repro.service.worker import QueueWorker
+
+from ..conftest import BAD_SPEC_FIELDS
 
 
 def tiny(**kw):
@@ -120,6 +123,19 @@ class TestJobLifecycle:
             client.submit({"configs": [], "n_replications": 1})
         assert err.value.status == 400
 
+    @pytest.mark.parametrize("field, value", BAD_SPEC_FIELDS)
+    def test_malformed_field_is_400_and_creates_no_job(
+        self, service, field, value
+    ):
+        svc, client = service
+        payload = spec().to_dict()
+        payload[field] = value
+        with pytest.raises(ServiceError) as err:
+            client.submit(payload)
+        assert err.value.status == 400
+        assert field in err.value.message
+        assert svc.store.job_ids() == []
+
     def test_unknown_job_is_404(self, service):
         _, client = service
         with pytest.raises(ServiceError) as err:
@@ -197,6 +213,21 @@ class TestResume:
             assert svc.submit(spec()) == "job-0002"
         finally:
             svc.wait_idle(timeout=60.0)
+            svc.stop()
+
+    def test_invalid_stored_spec_does_not_block_startup(self, tmp_path):
+        """A pending job whose spec.json no longer validates is skipped
+        at startup instead of crashing it."""
+        state = tmp_path / "state"
+        store = JobStore(state)
+        job_id = store.create_job(spec())
+        payload = spec().to_dict()
+        payload["chunksize"] = 0
+        (store.job_dir(job_id) / "spec.json").write_text(json.dumps(payload))
+        svc = SweepService(state, port=0)
+        try:
+            assert svc.resume_incomplete() == []
+        finally:
             svc.stop()
 
     def test_restart_reuses_partial_progress(self, tmp_path):

@@ -6,6 +6,8 @@ import pytest
 
 from repro.cli import build_parser, main
 
+from .conftest import BAD_SPEC_FIELDS
+
 
 class TestParser:
     def test_list_command(self):
@@ -350,6 +352,46 @@ class TestServiceCommands:
         ])
         with pytest.raises(ValueError):
             _job_spec_payload(bad_args)
+
+    @pytest.mark.parametrize("field, value", BAD_SPEC_FIELDS)
+    def test_malformed_spec_file_is_exit_2(
+        self, tmp_path, capsys, field, value
+    ):
+        from repro.cli import _job_spec_payload
+
+        payload = _job_spec_payload(
+            build_parser().parse_args(["job", "submit", "--url", "u"])
+        )
+        payload[field] = value
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        # nothing listens on port 9: the spec must be refused before
+        # any connection is attempted
+        assert main([
+            "-q", "job", "submit", "--url", "http://127.0.0.1:9",
+            "--spec", str(path),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        [line] = err.strip().splitlines()
+        assert field in line
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--replications", "0"),
+        ("--chunksize", "0"),
+        ("--lease-ttl", "-1"),
+        ("--lease-ttl", "nan"),
+        ("--max-attempts", "0"),
+        ("--workers", "0"),
+    ])
+    def test_malformed_submit_flag_is_exit_2(self, capsys, flag, value):
+        assert main([
+            "-q", "job", "submit", "--url", "http://127.0.0.1:9",
+            flag, value,
+        ]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
 
     def test_job_commands_against_live_service(self, tmp_path, capsys):
         from repro.core.config import ExperimentConfig

@@ -145,9 +145,11 @@ def profile_sweep(
     t0 = time.perf_counter()
     prof.enable()
     try:
-        for scheme in schemes:
-            cfg = config.with_(scheme=scheme)
-            for rep in range(replications):
+        configs = [config.with_(scheme=scheme) for scheme in schemes]
+        # Replication-major, like the orchestrator: the schemes of one
+        # replication share its cached workload streams.
+        for rep in range(replications):
+            for scheme, cfg in zip(schemes, configs):
                 result = run_single(cfg, replication=rep)
                 n += 1
                 per_scheme[scheme] = (

@@ -11,6 +11,8 @@ force.  Configurations are immutable; use :meth:`ExperimentConfig.with_`
 from __future__ import annotations
 
 import dataclasses
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Any, Mapping, Optional, Tuple, Union
 
@@ -23,6 +25,37 @@ from ..workload.regimes import make_service_regime
 #: paper defaults (Section 3.3)
 DEFAULT_NODES = 128
 DEFAULT_DURATION = 6 * 3600.0
+
+
+def check_int(name: str, value: object, minimum: int) -> None:
+    """Reject a non-integer (bool, float and str included) or small value."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+
+
+def check_number(name: str, value: object, *, positive: bool) -> None:
+    """Reject a non-number (bool and str included), NaN, an infinity, a
+    negative value and, when ``positive``, zero."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value) or value < 0
+            or (positive and value == 0)):
+        bound = "> 0" if positive else ">= 0"
+        raise ValueError(f"{name} must be a finite number {bound}, got {value!r}")
+
+
+#: real-valued fields checked at construction: (name, must be > 0 rather
+#: than >= 0, may be None)
+_NUMBER_FIELDS = (
+    ("duration", True, False),
+    ("adoption_probability", False, False),
+    ("remote_inflation", False, False),
+    ("cancellation_latency", False, False),
+    ("mean_interarrival", True, True),
+    ("offered_load", True, True),
+    ("cbf_compress_interval", False, True),
+)
 
 
 @dataclass(frozen=True)
@@ -139,18 +172,18 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n_clusters < 1:
-            raise ValueError(f"n_clusters must be >= 1, got {self.n_clusters}")
-        if self.duration <= 0:
-            raise ValueError(f"duration must be positive, got {self.duration}")
-        if not 0.0 <= self.adoption_probability <= 1.0:
+        # A bad value must fail here, not mid-run or by silently
+        # changing what the run means.
+        check_int("seed", self.seed, 0)
+        check_int("n_clusters", self.n_clusters, 1)
+        for name, positive, optional in _NUMBER_FIELDS:
+            value = getattr(self, name)
+            if value is not None or not optional:
+                check_number(name, value, positive=positive)
+        if self.adoption_probability > 1.0:
             raise ValueError(
                 f"adoption_probability must be in [0,1], got "
                 f"{self.adoption_probability}"
-            )
-        if self.remote_inflation < 0:
-            raise ValueError(
-                f"remote_inflation must be >= 0, got {self.remote_inflation}"
             )
         lo, hi = self.interarrival_range
         if not 0 < lo <= hi:
@@ -171,11 +204,12 @@ class ExperimentConfig:
             )
         if self.algorithm.lower() not in ("easy", "cbf", "fcfs"):
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
-        if isinstance(self.nodes_per_cluster, int):
-            if self.nodes_per_cluster < 1:
-                raise ValueError("nodes_per_cluster must be >= 1")
+        if not isinstance(self.nodes_per_cluster, (list, tuple)):
+            check_int("nodes_per_cluster", self.nodes_per_cluster, 1)
         else:
             counts = tuple(self.nodes_per_cluster)
+            for count in counts:
+                check_int("nodes_per_cluster", count, 1)
             if len(counts) != self.n_clusters:
                 raise ValueError(
                     f"{len(counts)} node counts for {self.n_clusters} clusters"

@@ -53,7 +53,13 @@ def _calibrated_params(
 from ..workload.stream import StreamJob, generate_platform_streams, merge_streams
 
 
-@lru_cache(maxsize=32)
+#: replications' streams kept.  Grids run replication-major, so one entry
+#: serves every scheme of a replication; the rest keep the reuse across
+#: grids that Figure 4's adoption sweep (6 keys at smoke scale) needs.
+_STREAM_CACHE_SIZE = 8
+
+
+@lru_cache(maxsize=_STREAM_CACHE_SIZE)
 def _cached_streams(
     seed: int,
     replication: int,

@@ -17,9 +17,9 @@ Responsibilities, in execution order:
    (configs are frozen dataclasses; equality is exact);
 2. **cache resolution** — every ``(config, replication)`` is looked up
    before any work is scheduled; hits are recorded immediately;
-3. **chunk planning** — remaining tasks are grouped into contiguous
-   chunks (amortising per-task dispatch cost) that executors lease or
-   submit as units;
+3. **chunk planning** — remaining tasks, replication-major, are
+   grouped into contiguous chunks (amortising per-task dispatch cost)
+   that executors lease or submit as units;
 4. **recording** — executors hand results back; the orchestrator
    stores them into the cache, feeds the heartbeat, appends to the run
    journal, and emits progress lines;
@@ -357,8 +357,11 @@ class Orchestrator:
         fingerprints = [config_fingerprint(cfg) for cfg in self.unique]
         tasks: list[Task] = []
         hits: list[tuple[Task, ExperimentResult]] = []
-        for ui, fp in enumerate(fingerprints):
-            for rep in self.reps:
+        # Replication-major: every config of one replication shares its
+        # workload streams (common random numbers), so running them back
+        # to back lets the per-replication stream cache stay tiny.
+        for rep in self.reps:
+            for ui, fp in enumerate(fingerprints):
                 hit = (
                     self.cache.get(self.unique[ui], rep, fingerprint=fp)
                     if self.cache is not None else None

@@ -32,8 +32,6 @@ from __future__ import annotations
 import base64
 import dataclasses
 import json
-import math
-import numbers
 import os
 import pickle
 import tempfile
@@ -43,7 +41,12 @@ from typing import Any, Optional, Sequence, Union
 
 from ..contracts import declared_pure
 from ..core.cache import ResultCache
-from ..core.config import ExperimentConfig, config_from_dict
+from ..core.config import (
+    ExperimentConfig,
+    check_int,
+    check_number,
+    config_from_dict,
+)
 from ..core.results import ExperimentResult
 
 #: layout version of results.json / the canonical grid payload
@@ -142,14 +145,6 @@ def decode_chunk_results(
     return out
 
 
-def _check_int(name: str, value: object, minimum: int) -> None:
-    """Reject a non-integer (bool, float and str included) or small value."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {value}")
-
-
 @dataclasses.dataclass(frozen=True)
 class JobSpec:
     """Everything needed to (re)build one sweep job's orchestrator."""
@@ -166,22 +161,17 @@ class JobSpec:
     def __post_init__(self) -> None:
         if not self.configs:
             raise ValueError("a job needs at least one config")
-        _check_int("n_replications", self.n_replications, 1)
-        _check_int("first_replication", self.first_replication, 0)
+        check_int("n_replications", self.n_replications, 1)
+        check_int("first_replication", self.first_replication, 0)
         if self.executor not in EXECUTORS:
             raise ValueError(
                 f"unknown executor {self.executor!r}; choose from {EXECUTORS}"
             )
-        _check_int("n_workers", self.n_workers, 1)
+        check_int("n_workers", self.n_workers, 1)
         if self.chunksize is not None:
-            _check_int("chunksize", self.chunksize, 1)
-        ttl = self.lease_ttl_s
-        if (isinstance(ttl, bool) or not isinstance(ttl, numbers.Real)
-                or not math.isfinite(ttl) or ttl <= 0):
-            raise ValueError(
-                f"lease_ttl_s must be a finite number > 0, got {ttl!r}"
-            )
-        _check_int("max_attempts", self.max_attempts, 1)
+            check_int("chunksize", self.chunksize, 1)
+        check_number("lease_ttl_s", self.lease_ttl_s, positive=True)
+        check_int("max_attempts", self.max_attempts, 1)
         object.__setattr__(self, "configs", tuple(self.configs))
 
     def to_dict(self) -> dict:
@@ -210,7 +200,7 @@ class JobSpec:
             raise ValueError(f"unknown JobSpec field(s): {unknown}")
         try:
             configs = tuple(config_from_dict(c) for c in raw_configs)
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise ValueError(f"bad config: {exc}") from None
         return cls(configs=configs, **data)
 

@@ -37,6 +37,38 @@ BAD_SPEC_FIELDS = [
     ("max_attempts", 2.5),
 ]
 
+#: one malformed value per ExperimentConfig field, as it could arrive in
+#: a spec's ``configs`` list: each must be refused at construction
+#: (ExperimentConfig, JobSpec, the HTTP route, the CLI), never mid-run
+BAD_CONFIG_FIELDS = [
+    ("seed", 1.5),
+    ("seed", True),
+    ("seed", "7"),
+    ("seed", -1),
+    ("n_clusters", 2.0),
+    ("n_clusters", "3"),
+    ("n_clusters", True),
+    ("n_clusters", 0),
+    ("nodes_per_cluster", 8.0),
+    ("nodes_per_cluster", "8"),
+    ("nodes_per_cluster", [8, 0]),
+    ("duration", float("nan")),
+    ("duration", float("inf")),
+    ("cbf_compress_interval", float("nan")),
+    ("cbf_compress_interval", -1.0),
+    ("cbf_compress_interval", float("inf")),
+    ("cbf_compress_interval", "0"),
+    ("cancellation_latency", -1.0),
+    ("cancellation_latency", float("nan")),
+    ("mean_interarrival", 0),
+    ("mean_interarrival", -5.0),
+    ("offered_load", -1),
+    ("offered_load", 0.0),
+    ("offered_load", float("nan")),
+    ("remote_inflation", float("nan")),
+    ("adoption_probability", "1"),
+]
+
 
 def make_request(
     nodes: int = 1,

@@ -4,6 +4,8 @@ import pytest
 
 from repro.core.config import ExperimentConfig
 
+from ..conftest import BAD_CONFIG_FIELDS
+
 
 class TestValidation:
     def test_defaults_valid(self):
@@ -37,6 +39,22 @@ class TestValidation:
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
             ExperimentConfig(**kwargs)
+
+    @pytest.mark.parametrize("field, value", BAD_CONFIG_FIELDS)
+    def test_malformed_field_rejected_at_construction(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ExperimentConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("seed", 0),
+        ("cbf_compress_interval", 0.0),
+        ("cbf_compress_interval", 600),
+        ("cancellation_latency", 30),
+        ("mean_interarrival", 2.5),
+        ("offered_load", 2),
+    ])
+    def test_well_formed_field_accepted(self, field, value):
+        assert getattr(ExperimentConfig(**{field: value}), field) == value
 
     def test_explicit_node_counts_must_match_n(self):
         with pytest.raises(ValueError):

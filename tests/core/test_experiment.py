@@ -87,3 +87,68 @@ class TestRunSingle:
     def test_wall_time_recorded(self):
         r = run_single(small(), 0)
         assert r.wall_time_s > 0
+
+
+class TestStreamCache:
+    """Workload streams are generated once per replication of a grid."""
+
+    CONFIGS = [
+        ExperimentConfig(
+            n_clusters=2, nodes_per_cluster=8, duration=120.0,
+            offered_load=2.0, drain=True, scheme=scheme, seed=11,
+        )
+        for scheme in ("NONE", "R2", "ALL")
+    ]
+
+    @pytest.fixture
+    def generations(self, monkeypatch):
+        from repro.core import experiment
+
+        calls = []
+        original = experiment.generate_platform_streams
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])  # the replication
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(experiment, "generate_platform_streams", counted)
+        experiment._cached_streams.cache_clear()
+        yield calls
+        experiment._cached_streams.cache_clear()
+
+    def test_three_configs_by_four_reps_generate_four_times(self, generations):
+        from repro.core import experiment
+        from repro.core.parallel import run_grid
+
+        run_grid(self.CONFIGS, 4)
+        assert sorted(generations) == [0, 1, 2, 3]
+        info = experiment._cached_streams.cache_info()
+        assert (info.hits, info.misses) == (8, 4)
+        assert info.maxsize == experiment._STREAM_CACHE_SIZE
+
+    def test_grid_runs_replication_major(self, generations, monkeypatch):
+        """One cached replication is enough: every config of a
+        replication runs before the next replication starts."""
+        from functools import lru_cache
+
+        from repro.core import experiment
+        from repro.core.parallel import run_grid
+
+        one_entry = lru_cache(maxsize=1)(experiment._cached_streams.__wrapped__)
+        monkeypatch.setattr(experiment, "_cached_streams", one_entry)
+        run_grid(self.CONFIGS, 4)
+        assert generations == [0, 1, 2, 3]
+
+    def test_profile_sweep_runs_replication_major(
+        self, generations, monkeypatch
+    ):
+        from functools import lru_cache
+
+        from repro.bench.profiling import profile_sweep
+        from repro.core import experiment
+
+        one_entry = lru_cache(maxsize=1)(experiment._cached_streams.__wrapped__)
+        monkeypatch.setattr(experiment, "_cached_streams", one_entry)
+        report = profile_sweep(self.CONFIGS[0], ["NONE", "R2", "ALL"], 4)
+        assert report.n_simulations == 12
+        assert generations == [0, 1, 2, 3]

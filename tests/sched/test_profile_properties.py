@@ -2,10 +2,11 @@
 
 ``test_profile.py`` covers the operations individually; these
 properties check whole random interleavings against an O(segments x
-probes) reference implementation that recomputes availability from the
-raw adjustment list — so any representation-level shortcut (the batched
-splice in ``adjust``, the segment walk in ``can_place``) is compared
-against first principles, not against itself.
+probes) reference model that recomputes availability from the raw
+adjustment list — so any representation-level shortcut (the batched
+splice in ``adjust``, the segment walk in ``can_place``, the skip-ahead
+in ``find_start``) is compared against first principles, not against
+itself.
 """
 
 import math
@@ -14,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sched.profile import Profile, ProfileError
-from repro.sched.profile_ref import ReferenceProfile
 
 TOTAL = 8
 
@@ -66,20 +66,38 @@ def test_adjust_interleavings_match_reference(ops):
         assert p.free_at(t) == reference_free(applied, t)
 
 
-def naive_can_place(p, start, duration, nodes, bonus):
-    """Pointwise reference for can_place: split at every breakpoint of the
-    profile *and* the bonus window, then check each constant piece."""
+def naive_can_place(applied, start, duration, nodes, bonus):
+    """Pointwise reference for can_place: split at every edge of the
+    applied windows *and* of the bonus window, then check each constant
+    piece against the model's availability."""
     end = start + duration
-    points = {start} | {t for t in p.times if start < t < end}
+    points = {start} | {
+        t for s, e, _ in applied for t in (s, e) if start < t < end
+    }
     if bonus is not None:
         points |= {b for b in bonus[:2] if start < b < end}
     for t in points:
-        avail = p.free_at(t)
+        avail = reference_free(applied, t)
         if bonus is not None and bonus[0] <= t < bonus[1]:
             avail += bonus[2]
         if avail < nodes:
             return False
     return True
+
+
+def naive_find_start(applied, breakpoints, nodes, duration, earliest):
+    """Brute-force find_start: the earliest model-feasible candidate among
+    ``earliest`` (clamped to the origin) and every later breakpoint.
+
+    A feasible start strictly between candidates can slide left to the
+    previous one (same segment, shorter reach), so the minimum is
+    always a candidate.
+    """
+    earliest = max(earliest, min(breakpoints))
+    for t in [earliest] + sorted(b for b in breakpoints if b > earliest):
+        if naive_can_place(applied, t, duration, nodes, None):
+            return t
+    return None
 
 
 @settings(max_examples=200, deadline=None)
@@ -111,9 +129,11 @@ def test_can_place_with_bonus_matches_reference(reservations, query, bonus_windo
     pointwise reference for every bonus window, including ones that only
     partially overlap a blocked segment."""
     p = Profile(0.0, TOTAL, TOTAL)
+    applied = []
     for start, duration, nodes in reservations:
         try:
             p.reserve(start, duration, nodes)
+            applied.append((start, start + duration, -nodes))
         except ProfileError:
             pass  # overcommitted sample; skip
     start, duration, nodes = query
@@ -122,7 +142,7 @@ def test_can_place_with_bonus_matches_reference(reservations, query, bonus_windo
         b_start, b_len, b_nodes = bonus_window
         bonus = (b_start, b_start + b_len, b_nodes)
     assert p.can_place(start, duration, nodes, bonus=bonus) == naive_can_place(
-        p, start, duration, nodes, bonus
+        applied, start, duration, nodes, bonus
     )
 
 
@@ -159,7 +179,7 @@ def test_bonus_equals_releasing_own_reservation(reservations, own):
     released = p.copy()
     released.adjust(o_start, o_start + o_dur, +o_nodes)
     bonus = (o_start, o_start + o_dur, o_nodes)
-    for t in [0.0, o_start, o_start + o_dur, *p.times[:6].tolist()]:
+    for t in [0.0, o_start, o_start + o_dur, *p.times[:6]]:
         for duration in (0.5, 5.0, 25.0):
             for nodes in (1, o_nodes, TOTAL):
                 assert p.can_place(t, duration, nodes, bonus=bonus) == \
@@ -198,12 +218,12 @@ def test_trim_preserves_future(reservations, cut):
     assert math.isfinite(p.times[0])
 
 
-# -- vectorised vs list-backed reference lockstep ---------------------------
+# -- whole interleavings against the pointwise model ------------------------
 #
-# The numpy Profile replaced the original pure-Python implementation
-# (kept verbatim as ReferenceProfile).  These interleavings drive both
-# through identical operation sequences — mutations, trims and every
-# query — asserting exact agreement on results, raised error types and
+# These interleavings drive the profile through random operation
+# sequences — mutations, trims and every query — and check each one
+# against a model that keeps only the raw adjustment list and the set
+# of breakpoints: exact agreement on results, raised error types and
 # the resulting step function after every single operation.
 
 profile_ops = st.lists(
@@ -244,6 +264,13 @@ profile_ops = st.lists(
 )
 
 
+def _bonus(bonus_w):
+    if bonus_w is None:
+        return None
+    b_start, b_len, b_nodes = bonus_w
+    return (b_start, b_start + b_len, b_nodes)
+
+
 def _apply(profile, op, arg):
     """Run one op; return ("ok", result) or ("err", exception type)."""
     try:
@@ -251,31 +278,82 @@ def _apply(profile, op, arg):
             start, duration, delta = arg
             return "ok", profile.adjust(start, start + duration, delta)
         if op == "trim":
-            # Trims are only legal behind the query horizon; clamp to
-            # the origin-relative past the same way CBF does (t <= now).
             return "ok", profile.trim(arg)
         if op == "find_start":
             nodes, duration, earliest = arg
             return "ok", profile.find_start(nodes, duration, earliest)
         if op == "can_place":
             start, duration, nodes, bonus_w = arg
-            bonus = None
-            if bonus_w is not None:
-                b_start, b_len, b_nodes = bonus_w
-                bonus = (b_start, b_start + b_len, b_nodes)
-            return "ok", profile.can_place(start, duration, nodes, bonus=bonus)
+            return "ok", profile.can_place(
+                start, duration, nodes, bonus=_bonus(bonus_w)
+            )
         assert op == "free_at"
         return "ok", profile.free_at(arg)
     except (ProfileError, ValueError) as exc:
         return "err", type(exc)
 
 
+class ProfileModel:
+    """First-principles model: the accepted adjustments plus the
+    breakpoint set (the origin, every accepted window edge, minus
+    whatever a trim dropped)."""
+
+    def __init__(self):
+        self.applied = []
+        self.breakpoints = {0.0}
+
+    @property
+    def origin(self):
+        return min(self.breakpoints)
+
+    def apply(self, op, arg):
+        """The model's answer, in ``_apply``'s ("ok"/"err", ...) form."""
+        if op == "adjust":
+            start, duration, delta = arg
+            end = start + duration
+            if start < self.origin or not reference_feasible(
+                self.applied, start, end, delta
+            ):
+                return "err", ProfileError
+            self.applied.append((start, end, delta))
+            self.breakpoints |= {start, end}
+            return "ok", None
+        if op == "trim":
+            # Only a cut past the second breakpoint moves the origin.
+            if sum(b <= arg for b in self.breakpoints) > 1:
+                self.breakpoints = {arg} | {
+                    b for b in self.breakpoints if b > arg
+                }
+            return "ok", None
+        if op == "find_start":
+            nodes, duration, earliest = arg
+            t = naive_find_start(
+                self.applied, self.breakpoints, nodes, duration, earliest
+            )
+            return ("err", ProfileError) if t is None else ("ok", t)
+        if op == "can_place":
+            start, duration, nodes, bonus_w = arg
+            if start < self.origin:
+                return "err", ProfileError
+            return "ok", naive_can_place(
+                self.applied, start, duration, nodes, _bonus(bonus_w)
+            )
+        assert op == "free_at"
+        if arg < self.origin:
+            return "err", ProfileError
+        return "ok", reference_free(self.applied, arg)
+
+    def segments(self):
+        return [(b, reference_free(self.applied, b))
+                for b in sorted(self.breakpoints)]
+
+
 @settings(max_examples=200, deadline=None)
 @given(ops=profile_ops)
-def test_vectorised_profile_matches_reference_lockstep(ops):
-    """Exact behavioural equivalence of the numpy and list profiles."""
-    vec = Profile(0.0, TOTAL, TOTAL)
-    ref = ReferenceProfile(0.0, TOTAL, TOTAL)
+def test_profile_matches_model_lockstep(ops):
+    """Exact behavioural agreement of the profile with the pointwise model."""
+    p = Profile(0.0, TOTAL, TOTAL)
+    model = ProfileModel()
     horizon = 0.0
     for op, arg in ops:
         if op == "trim":
@@ -288,13 +366,12 @@ def test_vectorised_profile_matches_reference_lockstep(ops):
             horizon = max(horizon, arg[2])
         elif op == "can_place":
             horizon = max(horizon, arg[0])
-        got = _apply(vec, op, arg)
-        want = _apply(ref, op, arg)
-        assert got == want, f"{op}{arg}: vectorised {got} != reference {want}"
-        vec.check_invariants()
-        ref.check_invariants()
-        assert vec.segments() == ref.segments(), f"state diverged after {op}"
-        assert len(vec) == len(ref)
+        got = _apply(p, op, arg)
+        want = model.apply(op, arg)
+        assert got == want, f"{op}{arg}: profile {got} != model {want}"
+        p.check_invariants()
+        assert p.segments() == model.segments(), f"state diverged after {op}"
+        assert len(p) == len(model.breakpoints)
 
 
 @settings(max_examples=100, deadline=None)
@@ -308,14 +385,20 @@ def test_vectorised_profile_matches_reference_lockstep(ops):
     )
 )
 def test_from_running_matches_reference(running):
-    """Construction from running holds agrees between implementations."""
-    try:
-        vec = Profile.from_running(10.0, TOTAL, running)
-    except ProfileError:
+    """Construction from running holds: each hold returns its nodes at
+    ``max(end, now)``, and holding more than capacity is rejected."""
+    now = 10.0
+    busy = sum(nodes for _, nodes in running)
+    if busy > TOTAL:
         try:
-            ReferenceProfile.from_running(10.0, TOTAL, running)
+            Profile.from_running(now, TOTAL, running)
         except ProfileError:
             return
-        raise AssertionError("reference accepted what vectorised rejected")
-    ref = ReferenceProfile.from_running(10.0, TOTAL, running)
-    assert vec.segments() == ref.segments()
+        raise AssertionError("from_running accepted an overcommitted hold")
+    p = Profile.from_running(now, TOTAL, running)
+    releases = [(max(end, now), nodes) for end, nodes in running]
+    breakpoints = sorted({now} | {t for t, _ in releases})
+    assert p.segments() == [
+        (b, TOTAL - busy + sum(n for t, n in releases if t <= b))
+        for b in breakpoints
+    ]

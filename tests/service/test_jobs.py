@@ -17,7 +17,7 @@ from repro.service.jobs import (
     encode_chunk_results,
 )
 
-from ..conftest import BAD_SPEC_FIELDS
+from ..conftest import BAD_CONFIG_FIELDS, BAD_SPEC_FIELDS
 
 
 def tiny(**kw):
@@ -133,6 +133,13 @@ class TestJobSpec:
         payload = spec().to_dict()
         payload[field] = value
         assert getattr(JobSpec.from_dict(payload), field) == value
+
+    @pytest.mark.parametrize("field, value", BAD_CONFIG_FIELDS)
+    def test_rejects_malformed_config_field(self, field, value):
+        payload = spec().to_dict()
+        payload["configs"][0][field] = value
+        with pytest.raises(ValueError, match=f"bad config: {field}"):
+            JobSpec.from_dict(payload)
 
     @pytest.mark.parametrize("payload, message", [
         ([1, 2], "JSON object"),

@@ -24,7 +24,7 @@ from repro.service.jobs import JobSpec, JobStore, canonical_grid_json
 from repro.service.server import SweepService
 from repro.service.worker import QueueWorker
 
-from ..conftest import BAD_SPEC_FIELDS
+from ..conftest import BAD_CONFIG_FIELDS, BAD_SPEC_FIELDS
 
 
 def tiny(**kw):
@@ -130,6 +130,19 @@ class TestJobLifecycle:
         svc, client = service
         payload = spec().to_dict()
         payload[field] = value
+        with pytest.raises(ServiceError) as err:
+            client.submit(payload)
+        assert err.value.status == 400
+        assert field in err.value.message
+        assert svc.store.job_ids() == []
+
+    @pytest.mark.parametrize("field, value", BAD_CONFIG_FIELDS)
+    def test_malformed_config_field_is_400_and_creates_no_job(
+        self, service, field, value
+    ):
+        svc, client = service
+        payload = spec().to_dict()
+        payload["configs"][0][field] = value
         with pytest.raises(ServiceError) as err:
             client.submit(payload)
         assert err.value.status == 400

@@ -6,7 +6,7 @@ import pytest
 
 from repro.cli import build_parser, main
 
-from .conftest import BAD_SPEC_FIELDS
+from .conftest import BAD_CONFIG_FIELDS, BAD_SPEC_FIELDS
 
 
 class TestParser:
@@ -363,6 +363,22 @@ class TestServiceCommands:
             build_parser().parse_args(["job", "submit", "--url", "u"])
         )
         payload[field] = value
+        self._assert_refused(tmp_path, capsys, payload, field)
+
+    @pytest.mark.parametrize("field, value", BAD_CONFIG_FIELDS)
+    def test_malformed_config_in_spec_file_is_exit_2(
+        self, tmp_path, capsys, field, value
+    ):
+        from repro.cli import _job_spec_payload
+
+        payload = _job_spec_payload(
+            build_parser().parse_args(["job", "submit", "--url", "u"])
+        )
+        payload["configs"][0][field] = value
+        self._assert_refused(tmp_path, capsys, payload, field)
+
+    @staticmethod
+    def _assert_refused(tmp_path, capsys, payload, field):
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(payload), encoding="utf-8")
         # nothing listens on port 9: the spec must be refused before
@@ -383,6 +399,11 @@ class TestServiceCommands:
         ("--lease-ttl", "nan"),
         ("--max-attempts", "0"),
         ("--workers", "0"),
+        ("--seed", "-1"),
+        ("--clusters", "0"),
+        ("--duration", "nan"),
+        ("--load", "-1"),
+        ("--load", "nan"),
     ])
     def test_malformed_submit_flag_is_exit_2(self, capsys, flag, value):
         assert main([

@@ -1,20 +1,17 @@
 #!/usr/bin/env python3
-"""Redundancy on a heterogeneous grid (Table 3), plus the metascheduler.
+"""Redundancy on a heterogeneous grid (Table 3).
 
 Simulates a federation of differently sized clusters (16-256 nodes)
-with different arrival rates, compares redundancy schemes against the
-local-only baseline, and adds the informed alternative the paper
-contrasts itself with: a metascheduler that places each job once, on
-the least-loaded eligible cluster.
+with different arrival rates and compares redundancy schemes against
+the local-only baseline.
 
 Run:  python examples/heterogeneous_grid.py
 """
 
 import numpy as np
 
-from repro import ExperimentConfig, compare_schemes, run_replications
+from repro import ExperimentConfig, compare_schemes
 from repro.analysis.tables import Table
-from repro.ext.metascheduler import run_metascheduler_experiment
 
 REPS = 3
 
@@ -32,13 +29,6 @@ def main() -> None:
     print("running redundancy schemes on a heterogeneous platform...")
     comparison = compare_schemes(config, ["R2", "HALF", "ALL"], REPS)
 
-    print("running the metascheduler baseline on the same streams...")
-    meta = [run_metascheduler_experiment(config, rep) for rep in range(REPS)]
-    meta_rel = float(np.mean([
-        m.avg_stretch / b.avg_stretch
-        for m, b in zip(meta, comparison.baseline)
-    ]))
-
     table = Table(
         "Heterogeneous platform — relative average stretch vs local-only",
         columns=["rel. avg stretch", "rel. CV of stretches"],
@@ -47,7 +37,6 @@ def main() -> None:
         rel = comparison.relative(scheme)
         table.add_row(f"user redundancy {scheme}",
                       [rel.avg_stretch, rel.cv_stretch])
-    table.add_row("metascheduler (1 placement)", [meta_rel, None])
     print()
     print(table.to_text())
 

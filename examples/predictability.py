@@ -4,16 +4,12 @@
 Runs CBF clusters whose reservations double as wait-time predictions,
 measures how far the predictions over-shoot reality, and shows how a
 platform where 40% of jobs use redundant requests degrades everyone's
-predictions.  Also evaluates the statistical (binomial-method)
-predictor the paper points to as future work.
+predictions.
 
 Run:  python examples/predictability.py
 """
 
 from repro.analysis.tables import Table
-from repro.core.config import ExperimentConfig
-from repro.core.experiment import run_single
-from repro.predict.binomial import evaluate_predictor
 from repro.predict.study import run_table4_study
 
 
@@ -39,33 +35,6 @@ def main() -> None:
         f"{result.degradation_non_redundant:.1f}x for non-redundant jobs "
         f"and {result.degradation_redundant:.1f}x for redundant jobs "
         "relative to the redundancy-free platform."
-    )
-
-    print("\nevaluating the binomial-method statistical predictor "
-          "(paper's future-work pointer)...")
-    cov_table = Table(
-        "Binomial predictor: bound on the 0.9-quantile of waits "
-        "(target coverage 0.90)",
-        columns=["coverage", "predictions"],
-    )
-    cfg = ExperimentConfig(
-        n_clusters=8, duration=1500.0, offered_load=2.0, drain=True,
-        algorithm="cbf", estimates="phi", seed=11,
-    )
-    for scheme in ("NONE", "ALL"):
-        res = run_single(cfg.with_(scheme=scheme), 0)
-        waits = [j.wait_time for j in sorted(res.jobs,
-                                             key=lambda j: j.end_time)]
-        report = evaluate_predictor(waits, quantile=0.9, confidence=0.9,
-                                    window=150)
-        cov_table.add_row(scheme, [report.coverage, report.n_predictions])
-    print()
-    print(cov_table.to_text())
-    print(
-        "\nReading: the state-based CBF prediction was already ~several-fold "
-        "conservative; redundancy churn makes it far worse, while the "
-        "history-based statistical bound keeps its advertised coverage — "
-        "matching the paper's closing argument for statistical forecasting."
     )
 
 

@@ -33,13 +33,10 @@ Subpackages
 ``repro.predict``
     Section 5: queue-waiting-time prediction accuracy.
 ``repro.analysis``
-    Tables, ASCII plots, post-run timelines, and the experiment
-    registry.
+    Tables, ASCII plots and the experiment registry.
 ``repro.obs``
     Observability: lifecycle event traces, metrics registry, run
     manifests, structured logging.
-``repro.ext``
-    Extensions the paper names as future work.
 """
 
 from .core import (

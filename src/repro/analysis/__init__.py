@@ -21,15 +21,6 @@ from .stats import (
     sign_test,
 )
 from .tables import Table, format_cell
-from .timelines import (
-    growth_rate,
-    level_at,
-    peak,
-    queue_length_timeline,
-    system_request_timeline,
-    time_average,
-    utilization_timeline,
-)
 
 __all__ = [
     "Table",
@@ -53,11 +44,4 @@ __all__ = [
     "table_to_csv",
     "report_to_json",
     "results_to_csv",
-    "system_request_timeline",
-    "queue_length_timeline",
-    "utilization_timeline",
-    "growth_rate",
-    "time_average",
-    "peak",
-    "level_at",
 ]

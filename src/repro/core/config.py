@@ -11,38 +11,19 @@ force.  Configurations are immutable; use :meth:`ExperimentConfig.with_`
 from __future__ import annotations
 
 import dataclasses
-import math
-import numbers
 from dataclasses import dataclass
 from typing import Any, Mapping, Optional, Tuple, Union
 
 from ..core.schemes import PLACEMENTS, get_scheme
 from ..faults import FaultConfig
 from ..policies.cancellation import get_cancellation_policy
+from ..validation import check_int, check_number
 from ..workload.estimates import make_estimate_model
 from ..workload.regimes import make_service_regime
 
 #: paper defaults (Section 3.3)
 DEFAULT_NODES = 128
 DEFAULT_DURATION = 6 * 3600.0
-
-
-def check_int(name: str, value: object, minimum: int) -> None:
-    """Reject a non-integer (bool, float and str included) or small value."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {value}")
-
-
-def check_number(name: str, value: object, *, positive: bool) -> None:
-    """Reject a non-number (bool and str included), NaN, an infinity, a
-    negative value and, when ``positive``, zero."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not math.isfinite(value) or value < 0
-            or (positive and value == 0)):
-        bound = "> 0" if positive else ">= 0"
-        raise ValueError(f"{name} must be a finite number {bound}, got {value!r}")
 
 
 #: real-valued fields checked at construction: (name, must be > 0 rather
@@ -55,6 +36,7 @@ _NUMBER_FIELDS = (
     ("mean_interarrival", True, True),
     ("offered_load", True, True),
     ("cbf_compress_interval", False, True),
+    ("target_bias_ratio", True, True),
 )
 
 
@@ -184,6 +166,12 @@ class ExperimentConfig:
             raise ValueError(
                 f"adoption_probability must be in [0,1], got "
                 f"{self.adoption_probability}"
+            )
+        # geometric_bias_weights' bound, checked before any run starts
+        if self.target_bias_ratio is not None and self.target_bias_ratio > 1.0:
+            raise ValueError(
+                f"target_bias_ratio must be in (0, 1], got "
+                f"{self.target_bias_ratio}"
             )
         lo, hi = self.interarrival_range
         if not 0 < lo <= hi:

@@ -42,6 +42,7 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from .sim.events import EventPriority
+from .validation import check_number
 
 _log = logging.getLogger("repro.faults")
 
@@ -98,27 +99,22 @@ class FaultConfig:
     resubmit_policy: str = "resubmit"
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.p_cancel_loss <= 1.0:
+        # NaN and infinities must fail here: NaN compares false against
+        # zero, so it would report ``enabled == False`` and silently
+        # switch the faults off.
+        check_number("p_cancel_loss", self.p_cancel_loss, positive=False)
+        if self.p_cancel_loss > 1.0:
             raise ValueError(
                 f"p_cancel_loss must be in [0,1], got {self.p_cancel_loss}"
             )
-        if self.cancel_delay_mean < 0:
-            raise ValueError(
-                f"cancel_delay_mean must be >= 0, got {self.cancel_delay_mean}"
-            )
+        check_number("cancel_delay_mean", self.cancel_delay_mean, positive=False)
+        check_number("outage_rate", self.outage_rate, positive=False)
+        check_number("outage_duration", self.outage_duration, positive=True)
         if self.cancel_delay_distribution not in CANCEL_DELAY_DISTRIBUTIONS:
             raise ValueError(
                 f"unknown cancel_delay_distribution "
                 f"{self.cancel_delay_distribution!r}; choose from "
                 f"{CANCEL_DELAY_DISTRIBUTIONS}"
-            )
-        if self.outage_rate < 0:
-            raise ValueError(
-                f"outage_rate must be >= 0, got {self.outage_rate}"
-            )
-        if self.outage_duration <= 0:
-            raise ValueError(
-                f"outage_duration must be positive, got {self.outage_duration}"
             )
         if self.resubmit_policy not in RESUBMIT_POLICIES:
             raise ValueError(

@@ -42,12 +42,6 @@ from .pbs import (
     paper_calibrated_model,
     throughput_model,
 )
-from .pipeline import (
-    PipelineResult,
-    StageStats,
-    redundancy_sweep,
-    simulate_submission_pipeline,
-)
 
 __all__ = [
     "PBSDaemonModel",
@@ -78,8 +72,4 @@ __all__ = [
     "queue_growth_vs_cluster_size",
     "QueueSizeComparison",
     "compare_max_queue_sizes",
-    "PipelineResult",
-    "StageStats",
-    "simulate_submission_pipeline",
-    "redundancy_sweep",
 ]

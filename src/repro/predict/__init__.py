@@ -1,11 +1,5 @@
 """Section 5: impact of redundant requests on queue-wait predictability."""
 
-from .binomial import (
-    BinomialQuantilePredictor,
-    CoverageReport,
-    binomial_bound_index,
-    evaluate_predictor,
-)
 from .stats import OverestimationStats, overestimation_stats, prediction_ratios
 from .study import Table4Result, Table4Row, run_table4_study
 
@@ -16,8 +10,4 @@ __all__ = [
     "Table4Result",
     "Table4Row",
     "run_table4_study",
-    "BinomialQuantilePredictor",
-    "CoverageReport",
-    "binomial_bound_index",
-    "evaluate_predictor",
 ]

@@ -39,8 +39,9 @@ flip on start/cancel, rebuilt on compaction).  Scheduling passes scan
 these arrays with vectorised boolean operations instead of iterating
 thousands of request objects per event — the array scan *is* the hot
 loop under overload.  Each request carries its array index in
-``Request.slot``; subclasses that reorder ``queue`` in place must call
-:meth:`_sync_queue_arrays` afterwards.
+``Request.slot``; compaction rebuilds the arrays and slots wholesale
+(:meth:`_sync_queue_arrays`).  ``queue`` is never reordered: it stays
+in submission order.
 
 Subclasses implement :meth:`_schedule_pass` only.
 """
@@ -182,9 +183,11 @@ class Scheduler(abc.ABC):
         # request never enables anything.  The memo is invalidated by
         # every transition that moves its inputs — finish and start
         # change ``free`` and the release schedule, cancelling the head
-        # changes the reservation, outages rewrite the queue.  CBF and
-        # the multi-queue extension never record a memo (their submits
-        # can reshape the plan), so they keep the conservative path.
+        # changes the reservation, outages rewrite the queue.  The local
+        # decision rests on one rule that holds for every scheduler: the
+        # queue stays in submission order, so a new submission can never
+        # become the head.  CBF never records a memo (its submits can
+        # reshape the plan), so it keeps the conservative path.
         self._block: "tuple[int, float, int, Request | None] | None" = None
         # Sorted ``(expected_end, nodes)`` release schedule of the
         # running set, cached between passes.  Only :meth:`_start` and
@@ -426,10 +429,9 @@ class Scheduler(abc.ABC):
             setattr(self, name, fresh)
 
     def _sync_queue_arrays(self) -> None:
-        """Rebuild the arrays and slots from the current ``queue`` list.
+        """Rebuild the arrays and slots from the compacted ``queue`` list.
 
-        Called after any operation that reorders or rewrites the queue
-        list wholesale (compaction, subclass re-sorting).  O(queue).
+        O(queue); called only by :meth:`_compact_queue`.
         """
         queue = self.queue
         n = len(queue)

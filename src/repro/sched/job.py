@@ -73,10 +73,6 @@ class Request:
     submit_time: float = 0.0
     group: Any = None
     name: str = ""
-    #: queue priority class; lower sorts first (0 = highest).  The paper's
-    #: main experiments use a single priority-less queue; the multi-queue
-    #: extension (repro.ext.multiqueue) uses this field.
-    priority: int = 0
     request_id: int = field(default_factory=lambda: next(_request_ids))
 
     # Mutable scheduling state -------------------------------------------------

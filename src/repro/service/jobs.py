@@ -41,13 +41,9 @@ from typing import Any, Optional, Sequence, Union
 
 from ..contracts import declared_pure
 from ..core.cache import ResultCache
-from ..core.config import (
-    ExperimentConfig,
-    check_int,
-    check_number,
-    config_from_dict,
-)
+from ..core.config import ExperimentConfig, config_from_dict
 from ..core.results import ExperimentResult
+from ..validation import check_int, check_number
 
 #: layout version of results.json / the canonical grid payload
 RESULTS_SCHEMA_VERSION = 1

@@ -24,11 +24,6 @@ from .stream import (
     generate_platform_streams,
     merge_streams,
 )
-from .dailycycle import (
-    DailyCycle,
-    DailyCycleGenerator,
-    hourly_arrival_counts,
-)
 from .swf import (
     SWFError,
     SWFRecord,
@@ -68,7 +63,4 @@ __all__ = [
     "write_swf",
     "records_to_stream",
     "stream_to_records",
-    "DailyCycle",
-    "DailyCycleGenerator",
-    "hourly_arrival_counts",
 ]

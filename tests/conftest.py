@@ -67,6 +67,11 @@ BAD_CONFIG_FIELDS = [
     ("offered_load", float("nan")),
     ("remote_inflation", float("nan")),
     ("adoption_probability", "1"),
+    ("target_bias_ratio", 2.0),
+    ("target_bias_ratio", 0.0),
+    ("target_bias_ratio", -1.0),
+    ("target_bias_ratio", float("nan")),
+    ("target_bias_ratio", float("inf")),
 ]
 
 

@@ -52,6 +52,9 @@ class TestValidation:
         ("cancellation_latency", 30),
         ("mean_interarrival", 2.5),
         ("offered_load", 2),
+        ("target_bias_ratio", 1.0),
+        ("target_bias_ratio", 0.25),
+        ("target_bias_ratio", 1e-6),
     ])
     def test_well_formed_field_accepted(self, field, value):
         assert getattr(ExperimentConfig(**{field: value}), field) == value

@@ -298,3 +298,22 @@ class TestResubmitAfterFinalize:
         assert coord.resubmissions == 0
         assert coord.total_requests == before
         assert len(rj.requests) == 2
+
+
+class TestQueueGrowth:
+    def test_overloaded_queue_grows(self):
+        """§4.1's queue growth under overload, read off the scheduler."""
+        sim = Simulator()
+        platform = Platform(sim, [4], algorithm="easy")
+        coord = Coordinator(sim, platform)
+        for i in range(100):
+            coord.schedule_job(
+                job(arrival=float(i), nodes=4, runtime=50.0, redundant=False),
+                [0],
+            )
+        sched = platform.schedulers[0]
+        sim.run(until=50.0)
+        at_50 = sched.queue_length
+        sim.run(until=100.0)
+        # ~1 arrival/s, ~0.02 starts/s: the queue grows at almost 1/s.
+        assert (sched.queue_length - at_50) / 50.0 > 0.8

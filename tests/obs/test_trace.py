@@ -194,3 +194,16 @@ class TestRecordSweepDeterminism:
         assert len(results) == 2
         assert results[0] == results[1]
         assert len(manifest.configs) == 1
+
+
+class TestDeprecatedShimRemoved:
+    def test_core_tracing_shim_is_gone(self):
+        # the old ``repro.core.tracing`` rename shim has been deleted;
+        # the old import path must fail loudly rather than silently
+        # resurface
+        import importlib
+        import sys
+
+        sys.modules.pop("repro.core.tracing", None)
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.core.tracing")

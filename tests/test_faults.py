@@ -81,10 +81,29 @@ class TestFaultConfig:
         dict(outage_rate=-1.0),
         dict(outage_duration=0.0),
         dict(resubmit_policy="retry-forever"),
+        dict(cancel_delay_mean=float("nan")),
+        dict(outage_rate=float("nan")),
+        dict(outage_duration=float("nan")),
+        dict(outage_duration=float("inf")),
+        dict(outage_rate=float("inf")),
     ])
     def test_validation(self, kw):
         with pytest.raises(ValueError):
             FaultConfig(**kw)
+
+    @pytest.mark.parametrize("kw", [
+        dict(p_cancel_loss=0.0),
+        dict(p_cancel_loss=1.0),
+        dict(p_cancel_loss=1),
+        dict(cancel_delay_mean=0),
+        dict(outage_rate=0.0),
+        dict(outage_duration=1e-9),
+        dict(outage_duration=600),
+    ])
+    def test_boundary_values_accepted(self, kw):
+        cfg = FaultConfig(**kw)
+        for name, value in kw.items():
+            assert getattr(cfg, name) == value
 
 
 class TestFaultInjector:

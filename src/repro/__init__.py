@@ -24,7 +24,7 @@ Subpackages
 ``repro.sched``
     FCFS, EASY and Conservative Backfilling schedulers.
 ``repro.workload``
-    Lublin–Feitelson model, runtime-estimate models, SWF traces.
+    Lublin–Feitelson model, runtime-estimate models, job streams.
 ``repro.core``
     Redundancy schemes, the first-start-wins coordinator, experiment
     runner and metrics.
@@ -46,7 +46,6 @@ from .core import (
     RelativeMetrics,
     ResultCache,
     SchemeComparison,
-    SweepEngine,
     compare_schemes,
     run_grid,
     run_replications,
@@ -61,7 +60,6 @@ __all__ = [
     "JobOutcome",
     "RelativeMetrics",
     "SchemeComparison",
-    "SweepEngine",
     "ResultCache",
     "compare_schemes",
     "run_grid",

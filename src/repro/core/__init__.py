@@ -6,8 +6,8 @@ High-level entry points:
 * :func:`run_replications` — a replication sweep;
 * :func:`compare_schemes` — paired relative metrics against NONE, the
   form every figure and table in the paper uses;
-* :func:`run_grid` / :class:`SweepEngine` — the flattened parallel
-  sweep engine underneath all of the above;
+* :func:`run_grid` — the flattened parallel sweep engine underneath
+  all of the above;
 * :class:`ResultCache` — content-addressed result caching shared by
   sweeps and registry figures.
 """
@@ -32,7 +32,7 @@ from .metrics import (
     summarize_ratios,
 )
 from .results import ClusterOutcome, ExperimentResult, JobOutcome, merge_results
-from .parallel import SweepEngine, run_grid
+from .parallel import run_grid
 from .runner import (
     RelativeMetrics,
     paired_nonadopter_penalty,
@@ -56,7 +56,6 @@ __all__ = [
     "run_single",
     "run_replications",
     "run_grid",
-    "SweepEngine",
     "ResultCache",
     "CACHE_SCHEMA_VERSION",
     "config_fingerprint",

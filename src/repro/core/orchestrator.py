@@ -320,6 +320,8 @@ class Orchestrator:
         self.fingerprints: list[str] = []
         self._chunks: dict[int, list[Task]] = {}
         self._open_chunks: dict[int, set[Task]] = {}
+        #: chunks partition the pending tasks: each one's chunk id
+        self._chunk_of: dict[Task, int] = {}
         self._lock = threading.Lock()
         self.heartbeat = Heartbeat(0)
         self._prepared = False
@@ -416,6 +418,9 @@ class Orchestrator:
             self._open_chunks = {
                 cid: set(chunk) for cid, chunk in chunks.items()
             }
+            self._chunk_of = {
+                task: cid for cid, chunk in chunks.items() for task in chunk
+            }
         if self.journal is not None:
             self.journal.append({
                 "event": "prepared",
@@ -453,13 +458,15 @@ class Orchestrator:
                 return
             self._grid[ci][rep] = result
             self.heartbeat.observe(result, computed=computed)
-            finished: list[tuple[int, list[Task]]] = []
-            for cid in list(self._open_chunks):
-                tasks = self._open_chunks[cid]
+            finished: Optional[tuple[int, list[Task]]] = None
+            # -1 is no chunk id: a task no chunk holds finishes nothing
+            cid = self._chunk_of.get((ci, rep), -1)
+            tasks = self._open_chunks.get(cid)
+            if tasks is not None:
                 tasks.discard((ci, rep))
                 if not tasks:
                     del self._open_chunks[cid]
-                    finished.append((cid, list(self._chunks[cid])))
+                    finished = (cid, list(self._chunks[cid]))
             done = self.heartbeat.done
             suffix = self.heartbeat.suffix()
             fingerprint = self.fingerprints[ci]
@@ -479,15 +486,15 @@ class Orchestrator:
                 f"[{done}/{self.total}] {self.unique[ci].describe()} "
                 f"rep {rep}{suffix}"
             )
-        if self.journal is not None:
-            for cid, chunk_tasks in finished:
-                self.journal.append({
-                    "event": "chunk_done",
-                    "chunk": cid,
-                    "tasks": [[a, b] for a, b in chunk_tasks],
-                    "done": done,
-                    "total": self.total,
-                })
+        if self.journal is not None and finished is not None:
+            cid, chunk_tasks = finished
+            self.journal.append({
+                "event": "chunk_done",
+                "chunk": cid,
+                "tasks": [[a, b] for a, b in chunk_tasks],
+                "done": done,
+                "total": self.total,
+            })
 
     def complete_chunk(
         self, cid: int, results: Sequence[tuple[int, int, ExperimentResult]],

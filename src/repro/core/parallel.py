@@ -1,6 +1,7 @@
 """Parallel sweep engine: one flattened (config x replication) grid.
 
-This module is the stable façade over the orchestrator/executor split:
+:func:`run_grid` is the one-call entry point over the
+orchestrator/executor split:
 
 * :class:`~repro.core.orchestrator.Orchestrator` owns the grid — dedup
   of duplicate configs, cache resolution before any work is scheduled,
@@ -122,56 +123,3 @@ def run_grid(
         executor = PoolExecutor(n_workers=n_workers)
     return orchestrator.execute(executor)
 
-
-class SweepEngine:
-    """Bound defaults for a sequence of grid runs.
-
-    A convenience wrapper the registry and CLI use so that worker count,
-    cache and progress reporting are decided once::
-
-        engine = SweepEngine(n_workers=8, cache=shared_cache())
-        baseline, r2 = engine.run_grid([cfg_none, cfg_r2], 50)
-    """
-
-    def __init__(
-        self,
-        n_workers: int = 1,
-        cache: Optional[ResultCache] = None,
-        chunksize: Optional[int] = None,
-        progress: Optional[ProgressFn] = None,
-        stats: Optional[GridStats] = None,
-        metrics: Optional["MetricsRegistry"] = None,
-    ) -> None:
-        self.n_workers = max(1, int(n_workers))
-        self.cache = cache
-        self.chunksize = chunksize
-        self.progress = progress
-        self.stats = stats
-        self.metrics = metrics
-
-    def run_grid(
-        self,
-        configs: Sequence[ExperimentConfig],
-        n_replications: int,
-        first_replication: int = 0,
-    ) -> list[list[ExperimentResult]]:
-        return run_grid(
-            configs,
-            n_replications,
-            n_workers=self.n_workers,
-            first_replication=first_replication,
-            cache=self.cache,
-            chunksize=self.chunksize,
-            progress=self.progress,
-            stats=self.stats,
-            metrics=self.metrics,
-        )
-
-    def run_replications(
-        self,
-        config: ExperimentConfig,
-        n_replications: int,
-        first_replication: int = 0,
-    ) -> list[ExperimentResult]:
-        [results] = self.run_grid([config], n_replications, first_replication)
-        return results

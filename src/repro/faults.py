@@ -136,19 +136,6 @@ class FaultConfig:
             or self.outage_rate > 0
         )
 
-    @property
-    def can_orphan(self) -> bool:
-        """Whether this regime can leave loser copies running beside a
-        winner.
-
-        True when cancellations can be dropped (probability draw), swallowed
-        by a downed daemon (outages), or delayed long enough for the loser
-        to start first.  The sanitizer uses this to decide whether a
-        duplicate start is an *expected* fault symptom or an invariant
-        violation.
-        """
-        return self.enabled
-
 
 class FaultInjector:
     """Draws fault outcomes and drives scheduler outages.

@@ -105,16 +105,9 @@ class QueueStats:
         #: pending requests lost when the scheduler crashed with
         #: ``drop_queue`` (distinct from user-issued cancellations)
         self.dropped = 0
+        #: the pending count only grows on submit, so that is the one
+        #: place this high-water mark is updated
         self.max_queue_length = 0
-        #: (time, queue_length) samples, recorded when ``trace_enabled``
-        self.length_trace: list[tuple[float, int]] = []
-        self.trace_enabled = False
-
-    def observe_queue(self, now: float, length: int) -> None:
-        if length > self.max_queue_length:
-            self.max_queue_length = length
-        if self.trace_enabled:
-            self.length_trace.append((now, length))
 
 
 class Scheduler(abc.ABC):
@@ -264,7 +257,8 @@ class Scheduler(abc.ABC):
         if request.nodes < self._min_nodes_lb:
             self._min_nodes_lb = request.nodes
         self.stats.submitted += 1
-        self.stats.observe_queue(now, self._pending_count)
+        if self._pending_count > self.stats.max_queue_length:
+            self.stats.max_queue_length = self._pending_count
         if self.tracer is not None:
             self._emit("queue", request)
         if self._has_on_submit:
@@ -318,7 +312,6 @@ class Scheduler(abc.ABC):
         self._pending_count -= 1
         self.stats.cancelled += 1
         self._maybe_compact()
-        self.stats.observe_queue(self.sim.now, self._pending_count)
         if self.tracer is not None:
             self._emit("cancel_applied", request)
         if self._has_on_cancel:
@@ -375,7 +368,6 @@ class Scheduler(abc.ABC):
             self._q_pending[:] = False
             self._pending_count = 0
             self.stats.dropped += len(dropped)
-            self.stats.observe_queue(self.sim.now, 0)
         return dropped
 
     def come_up(self) -> None:
@@ -515,7 +507,6 @@ class Scheduler(abc.ABC):
             self._tighten_min_nodes()
         if self.auditor is not None:
             self.auditor.after_pass(self)
-        self.stats.observe_queue(self.sim.now, self._pending_count)
 
     def _start(self, request: Request) -> None:
         """Allocate nodes and begin executing ``request`` now.

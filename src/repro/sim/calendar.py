@@ -1,38 +1,21 @@
-"""Calendar event queue: time-bucketed storage with C-level ordering.
+"""The kernel's event queue: one stdlib heap of C-comparable tuples.
 
-The kernel's former event store was one binary heap of
-:class:`~repro.sim.events.Event` objects whose every sift called the
-Python-level ``Event.__lt__`` — at fig1 scale those comparisons alone
-were ~25 % of the event-loop budget (see ``repro bench --profile``).
-This queue removes interpreted comparisons from the hot path entirely:
+Events are stored as ``(time, priority, seq, event)`` tuples in a single
+:mod:`heapq` list, so every sift is a C tuple comparison (``seq`` is
+unique, the tie-break never reaches the event object).  The former
+object heap — kept as :class:`~repro.sim.heapref.BinaryHeapQueue` — paid
+a Python-level ``Event.__lt__`` call per comparison instead;
+``tests/sim/test_calendar_lockstep.py`` proves the two structures
+execution-order equivalent under hypothesis-driven interleavings.  (The
+module and class names are from an earlier time-bucketed version; the
+benchmark tracer binds them by name, so they stay.)
 
-* events live in *buckets* keyed by ``floor(time / bucket_width)``;
-  an insert is a dict lookup plus a push into a small per-bucket heap
-  of ``(time, priority, seq, event)`` tuples, so every comparison is a
-  C tuple comparison (``seq`` is unique, the tie-break never reaches
-  the event object);
-* the set of non-empty buckets is itself a tiny min-heap of plain
-  ``int`` bucket keys, so "which bucket holds the global minimum" is
-  O(log n_buckets) over machine integers;
-* extraction pops from the minimum bucket's heap — because buckets
-  partition the time axis, the earliest event always lives in the
-  lowest non-empty bucket, and the ``(time, priority, seq)`` total
-  order of the old heap is preserved *exactly*
-  (``tests/sim/test_calendar_lockstep.py`` proves the two structures
-  execution-order equivalent under hypothesis-driven interleavings).
-
-Cancellation stays lazy (tombstone flag, dropped at extraction), but
-accounting is now unified on the event side: :meth:`Event.cancel
+Cancellation is lazy (tombstone flag, dropped at extraction), and
+accounting lives on the event side: :meth:`Event.cancel
 <repro.sim.events.Event.cancel>` notifies its owning queue, so direct
 ``Event.cancel()`` calls and :meth:`Simulator.cancel
 <repro.sim.engine.Simulator.cancel>` feed the same compaction trigger.
-Compaction purges tombstones bucket-locally — each bucket is filtered
-and re-heapified in place and emptied buckets are dropped — one O(n)
-sweep once tombstones dominate.
-
-``bucket_width`` is a structural parameter only: it shifts work between
-the bucket-index heap and the per-bucket heaps but can never change the
-execution order, so any width is determinism-safe.
+Compaction is one filter + heapify once tombstones dominate.
 """
 
 from __future__ import annotations
@@ -46,92 +29,46 @@ from .events import Event
 #: outnumber live events (amortised O(1) per cancellation)
 COMPACT_MIN_TOMBSTONES = 512
 
-#: default simulated seconds per bucket.  The paper's workloads space
-#: kernel events seconds-to-minutes apart, which keeps per-bucket heaps
-#: small; a degenerate width (everything in one bucket) just recovers a
-#: single tuple-keyed heap, which is still strictly cheaper than the
-#: old object heap.
-DEFAULT_BUCKET_WIDTH = 16.0
-
 _Entry = tuple[float, int, int, Event]
 
 
 class CalendarQueue:
-    """Bucketed event queue ordered by ``(time, priority, seq)``."""
+    """Event queue ordered by ``(time, priority, seq)``."""
 
-    __slots__ = (
-        "_width", "_buckets", "_bucket_heap", "_size",
-        "tombstones", "compactions",
-    )
+    __slots__ = ("_heap", "tombstones", "compactions")
 
-    def __init__(self, bucket_width: float = DEFAULT_BUCKET_WIDTH) -> None:
-        if not bucket_width > 0:
-            raise ValueError(f"bucket width must be positive, got {bucket_width}")
-        self._width = float(bucket_width)
-        #: bucket key -> per-bucket heap of (time, priority, seq, event)
-        self._buckets: dict[int, list[_Entry]] = {}
-        #: min-heap of bucket keys that may be non-empty (lazily cleaned;
-        #: a key can appear twice if its bucket emptied and was re-created)
-        self._bucket_heap: list[int] = []
-        self._size = 0  # entries in buckets, tombstones included
-        #: cancelled events still sitting in buckets
+    def __init__(self) -> None:
+        #: (time, priority, seq, event) entries, tombstones included
+        self._heap: list[_Entry] = []
+        #: cancelled events still sitting in the heap
         self.tombstones = 0
-        #: bucket-local purge sweeps performed (observability counter)
+        #: purge sweeps performed (observability counter)
         self.compactions = 0
 
-    # -- sizing ----------------------------------------------------------
-
     def __len__(self) -> int:
-        return self._size
-
-    # -- insertion -------------------------------------------------------
+        return len(self._heap)
 
     def push(self, event: Event) -> None:
         """Insert ``event`` (also used to restore an unexecuted pop)."""
         event.owner = self
-        key = int(event.time / self._width)
-        bucket = self._buckets.get(key)
-        if bucket is None:
-            self._buckets[key] = bucket = []
-            heappush(self._bucket_heap, key)
-        heappush(bucket, (event.time, event.priority, event.seq, event))
-        self._size += 1
-
-    # -- extraction ------------------------------------------------------
-
-    def _min_bucket(self) -> Optional[list[_Entry]]:
-        """Heap of the lowest non-empty bucket, dropping stale keys."""
-        bucket_heap = self._bucket_heap
-        buckets = self._buckets
-        while bucket_heap:
-            key = bucket_heap[0]
-            bucket = buckets.get(key)
-            if bucket:
-                return bucket
-            # Emptied (or duplicated) key: retire it.
-            if bucket is not None:
-                del buckets[key]
-            heappop(bucket_heap)
-        return None
+        heappush(self._heap, (event.time, event.priority, event.seq, event))
 
     def pop(self) -> Optional[Event]:
         """Remove and return the next *live* event, or ``None`` if empty.
 
         Tombstones encountered on the way out are discarded and
-        uncounted, mirroring the old heap's pop-time filtering.
+        uncounted.
         """
-        while True:
-            bucket = self._min_bucket()
-            if bucket is None:
-                return None
-            event = heappop(bucket)[3]
-            self._size -= 1
+        heap = self._heap
+        while heap:
+            event = heappop(heap)[3]
             event.owner = None
             if event.cancelled:
                 if self.tombstones > 0:
                     self.tombstones -= 1
                 continue
             return event
+        return None
 
     def peek(self) -> Optional[Event]:
         """The next live event without removing it (``None`` if empty).
@@ -139,74 +76,45 @@ class CalendarQueue:
         Cancelled events at the front are permanently discarded, so a
         subsequent :meth:`pop` is O(1) amortised.
         """
-        while True:
-            bucket = self._min_bucket()
-            if bucket is None:
-                return None
-            event = bucket[0][3]
+        heap = self._heap
+        while heap:
+            event = heap[0][3]
             if not event.cancelled:
                 return event
-            heappop(bucket)
-            self._size -= 1
+            heappop(heap)
             event.owner = None
             if self.tombstones > 0:
                 self.tombstones -= 1
-
-    # -- cancellation ----------------------------------------------------
+        return None
 
     def note_cancelled(self, event: Event) -> None:
         """Account one tombstone; compact when they dominate.
 
         Called by :meth:`Event.cancel <repro.sim.events.Event.cancel>`
-        for every event cancelled while it still sits in this queue —
-        the unified path that makes direct ``Event.cancel()`` churn
-        trigger compaction exactly like ``Simulator.cancel`` churn.
+        for every event cancelled while it still sits in this queue.
         """
         self.tombstones += 1
         if (
             self.tombstones >= COMPACT_MIN_TOMBSTONES
-            and self.tombstones * 2 >= self._size
+            and self.tombstones * 2 >= len(self._heap)
         ):
             self.compact()
 
     def compact(self) -> None:
-        """Purge tombstones bucket-by-bucket (filter + re-heapify each)."""
-        buckets = self._buckets
-        emptied = []
-        size = 0
-        for key, bucket in buckets.items():
-            live = [entry for entry in bucket if not entry[3].cancelled]
-            if live:
-                if len(live) != len(bucket):
-                    heapify(live)
-                    buckets[key] = live
-                size += len(live)
-            else:
-                emptied.append(key)
-        for key in emptied:
-            del buckets[key]
-        # Stale keys in the bucket-index heap are retired lazily by
-        # _min_bucket; rebuilding it here keeps the worst case bounded.
-        self._bucket_heap = sorted(buckets)
-        self._size = size
+        """Purge tombstones in one filter + re-heapify."""
+        heap = self._heap
+        heap[:] = [entry for entry in heap if not entry[3].cancelled]
+        heapify(heap)
         self.tombstones = 0
         self.compactions += 1
 
-    # -- bulk operations -------------------------------------------------
-
     def clear(self) -> None:
         """Discard every entry (live and tombstoned)."""
-        for bucket in self._buckets.values():
-            for entry in bucket:
-                entry[3].owner = None
-        self._buckets.clear()
-        self._bucket_heap.clear()
-        self._size = 0
+        for entry in self._heap:
+            entry[3].owner = None
+        self._heap.clear()
         self.tombstones = 0
 
     def iter_pending(self) -> Iterator[Event]:
-        """Live events in bucket order (unordered within a bucket)."""
-        for key in sorted(self._buckets):
-            for entry in self._buckets[key]:
-                if not entry[3].cancelled:
-                    yield entry[3]
+        """Live events in heap order (not sorted)."""
+        return (entry[3] for entry in self._heap if not entry[3].cancelled)

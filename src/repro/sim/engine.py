@@ -1,4 +1,4 @@
-"""Discrete-event simulation engine over a calendar event queue.
+"""Discrete-event simulation engine over a pluggable event queue.
 
 The paper used SimGrid purely as a discrete-event substrate with zero
 network overhead (Section 3.1.2), so any deterministic event loop is an
@@ -7,11 +7,11 @@ equivalent foundation.  This one executes
 ``(time, priority, seq)`` order; the events themselves live in a
 pluggable *event queue*:
 
-* :class:`~repro.sim.calendar.CalendarQueue` (the default) — buckets
-  events by time and orders them with C-level tuple comparisons; O(1)
-  amortised insert/extract and bucket-local tombstone purging;
-* :class:`~repro.sim.heapref.BinaryHeapQueue` — the original binary
-  heap, kept as the differential reference for lockstep and
+* :class:`~repro.sim.calendar.CalendarQueue` (the default) — one
+  stdlib :mod:`heapq` of ``(time, priority, seq, event)`` tuples, so
+  every comparison is a C-level tuple comparison;
+* :class:`~repro.sim.heapref.BinaryHeapQueue` — the original heap of
+  event objects, kept as the differential reference for lockstep and
   byte-identical-trace testing.
 
 Cancellation is lazy everywhere: cancelling marks a tombstone flag

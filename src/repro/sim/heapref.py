@@ -1,8 +1,9 @@
-"""Reference binary-heap event queue (the pre-calendar kernel).
+"""Reference binary-heap event queue (the original kernel).
 
 This is the original object-per-event binary heap, preserved verbatim
 behind the same queue interface as
-:class:`~repro.sim.calendar.CalendarQueue`.  It is **not** used by
+:class:`~repro.sim.calendar.CalendarQueue`, which stores tuple keys
+instead of event objects.  It is **not** used by
 default — it exists as the differential reference:
 
 * ``tests/sim/test_calendar_lockstep.py`` runs the two queues in
@@ -13,8 +14,8 @@ default — it exists as the differential reference:
 
 Ordering uses :meth:`Event.__lt__ <repro.sim.events.Event.__lt__>`
 (the Python-level ``(time, priority, seq)`` comparison), exactly as the
-old engine did, so any divergence between the structures is a calendar
-bug, not a shared assumption.
+old engine did, so any divergence between the structures is a bug in
+the tuple keys, not a shared assumption.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Workload models: Lublin–Feitelson generator, runtime estimates, SWF traces."""
+"""Workload models: Lublin–Feitelson generator, runtime estimates, job streams."""
 
 from .distributions import HyperGamma, gamma_interarrival, log_uniform_nodes, two_stage_uniform
 from .estimates import (
@@ -24,15 +24,6 @@ from .stream import (
     generate_platform_streams,
     merge_streams,
 )
-from .swf import (
-    SWFError,
-    SWFRecord,
-    parse_swf_line,
-    read_swf,
-    records_to_stream,
-    stream_to_records,
-    write_swf,
-)
 
 __all__ = [
     "HyperGamma",
@@ -56,11 +47,4 @@ __all__ = [
     "generate_cluster_stream",
     "generate_platform_streams",
     "merge_streams",
-    "SWFRecord",
-    "SWFError",
-    "parse_swf_line",
-    "read_swf",
-    "write_swf",
-    "records_to_stream",
-    "stream_to_records",
 ]

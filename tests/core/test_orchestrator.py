@@ -7,6 +7,8 @@ chunk planning, idempotent recording, journaling, cancellation — is
 pinned in isolation.
 """
 
+import time
+
 import pytest
 
 from repro.core.cache import ResultCache
@@ -130,6 +132,25 @@ class TestRecording:
         assert len(messages) == 2
         assert "[2/2]" in messages[1]
 
+    def test_record_cost_does_not_grow_with_open_chunks(self):
+        """20,000 one-task chunks: each record touches only its own chunk.
+
+        Scanning every open chunk per record made this grid quadratic
+        (about 30 s); a task -> chunk map keeps it linear.
+        """
+        configs = [tiny(seed=s) for s in range(200)]
+        orch = Orchestrator(configs, 100, chunksize=1)
+        orch.prepare()
+        assert orch.status()["chunks_open"] == 20_000
+        result = FakeResult("NONE", 0)
+        t0 = time.perf_counter()
+        for rep in orch.reps:
+            for ci in range(len(configs)):
+                orch.record(ci, rep, result)
+        elapsed = time.perf_counter() - t0
+        assert orch.status()["chunks_open"] == 0
+        assert elapsed < 5.0, f"20,000 records took {elapsed:.1f} s"
+
     def test_assemble_names_the_first_missing_task(self):
         orch = Orchestrator([tiny()], 3)
         orch.prepare()
@@ -164,6 +185,36 @@ class TestJournal:
             e for e in journal.entries() if e["event"] == "chunk_done"
         ]
         assert [e["tasks"] for e in done_events] == [[[0, 0]], [[0, 1]]]
+
+    def test_chunk_done_waits_for_its_last_task(self, tmp_path):
+        """Out-of-order records close each chunk once, in completion
+        order, listing the chunk's tasks in plan order."""
+        journal = RunJournal(tmp_path / "journal.jsonl")
+        orch = Orchestrator([tiny()], 6, chunksize=3, journal=journal)
+        orch.prepare()
+        for rep in (4, 2, 0, 5, 3):
+            orch.record(0, rep, FakeResult("NONE", rep))
+        orch.record(0, 1, FakeResult("NONE", 1))
+        done = [e for e in journal.entries() if e["event"] == "chunk_done"]
+        assert [(e["chunk"], e["done"]) for e in done] == [(1, 5), (0, 6)]
+        assert done[0]["tasks"] == [[0, 3], [0, 4], [0, 5]]
+        assert done[1]["tasks"] == [[0, 0], [0, 1], [0, 2]]
+
+    def test_cached_task_record_closes_no_chunk(self, tmp_path):
+        cache = ResultCache(None)
+        Orchestrator(
+            [tiny()], 1, cache=cache, runner=fake_runner,
+        ).execute(InProcessExecutor())
+        journal = RunJournal(tmp_path / "journal.jsonl")
+        warm = Orchestrator([tiny()], 2, cache=cache, journal=journal)
+        warm.prepare()
+        warm.record(0, 0, FakeResult("OTHER", 0))  # already resolved
+        assert warm.status()["chunks_open"] == 1
+        warm.record(0, 1, FakeResult("NONE", 1))
+        events = [e["event"] for e in journal.entries()]
+        assert events == ["prepared", "chunk_done"]
+        [results] = warm.assemble()
+        assert results == [FakeResult("NONE", 0), FakeResult("NONE", 1)]
 
     def test_warm_run_journals_no_execute(self, tmp_path):
         cache = ResultCache(None)

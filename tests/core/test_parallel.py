@@ -7,7 +7,7 @@ import pytest
 from repro.core.cache import ResultCache
 from repro.core.config import ExperimentConfig
 from repro.core.orchestrator import Heartbeat, default_chunksize, fmt_eta
-from repro.core.parallel import SweepEngine, run_grid
+from repro.core.parallel import run_grid
 from repro.core.runner import compare_schemes, paired_nonadopter_penalty
 
 
@@ -253,17 +253,6 @@ class TestDefaultChunksize:
 
     def test_degenerate(self):
         assert default_chunksize(0, 4) == 1
-
-
-class TestSweepEngine:
-    def test_bound_defaults(self):
-        cache = ResultCache(None)
-        engine = SweepEngine(n_workers=1, cache=cache)
-        engine.run_replications(tiny(), 2)
-        assert cache.stats.stores == 2
-        [results] = engine.run_grid([tiny()], 2)
-        assert cache.stats.hits == 2
-        assert [r.replication for r in results] == [0, 1]
 
 
 class TestPairedPenaltyGrid:

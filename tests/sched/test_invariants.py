@@ -124,6 +124,30 @@ def test_queue_stays_in_submission_order(algorithm, workload):
             )
 
 
+@pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+@settings(max_examples=40, deadline=None)
+@given(workload=workload_strategy)
+def test_max_queue_length_is_the_pending_high_water_mark(algorithm, workload):
+    """``stats.max_queue_length`` is updated on submit only; cancels,
+    starts and passes never raise the pending count, so it must still
+    equal the largest pending count seen after any event."""
+    sim = Simulator()
+    sched = ALGORITHMS[algorithm](sim, Cluster(0, NODES))
+    for submit_time, nodes, runtime, pad, cancel in workload:
+        req = Request(nodes=nodes, runtime=runtime,
+                      requested_time=runtime * pad, submit_time=submit_time)
+        sim.at(submit_time, lambda r=req: sched.submit(r), EventPriority.SUBMIT)
+        if cancel:
+            def try_cancel(r=req):
+                if r.state is RequestState.PENDING:
+                    sched.cancel(r)
+            sim.at(submit_time + 0.05, try_cancel, EventPriority.CANCEL)
+    high = 0
+    while sim.step():
+        high = max(high, sched.queue_length)
+        assert sched.stats.max_queue_length == high
+
+
 @settings(max_examples=40, deadline=None)
 @given(workload=workload_strategy)
 def test_fcfs_starts_in_submission_order(workload):

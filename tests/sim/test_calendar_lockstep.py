@@ -1,8 +1,8 @@
-"""Calendar queue vs binary heap: execution-order equivalence.
+"""Tuple-keyed kernel queue vs reference object heap: execution order.
 
-The calendar queue replaced the kernel's binary heap; its only contract
+``CalendarQueue`` replaced the kernel's object heap; its only contract
 is that the global ``(time, priority, seq)`` execution order is
-*exactly* the heap's, including same-time/same-priority ties,
+*exactly* the reference heap's, including same-time/same-priority ties,
 tombstoned (cancelled) entries and compaction sweeps at arbitrary
 points.  These tests drive both structures through identical
 hypothesis-generated interleavings of push/pop/peek/cancel/compact and
@@ -15,11 +15,12 @@ identical ordering keys.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import calendar as calendar_mod
 from repro.sim.calendar import CalendarQueue, COMPACT_MIN_TOMBSTONES
 from repro.sim.engine import Simulator
 from repro.sim.events import Event, EventPriority
@@ -38,8 +39,8 @@ def _key(event):
     return (event.time, event.priority, event.seq)
 
 
-# Operation stream: pushes draw times from a coarse grid (forcing
-# same-bucket and exact same-time collisions) and priorities from the
+# Operation stream: pushes draw times from a small range (forcing
+# near and exact same-time collisions) and priorities from the
 # full enum (forcing priority and seq tie-breaks).
 _ops = st.lists(
     st.one_of(
@@ -62,16 +63,10 @@ _ops = st.lists(
 
 class TestLockstep:
     @settings(max_examples=200, deadline=None)
-    @given(ops=_ops, width=st.sampled_from([0.5, 16.0, 1e6]))
-    def test_interleaved_ops_match_heap(self, ops, width):
-        """Arbitrary push/pop/peek/cancel/compact interleavings agree.
-
-        ``width`` sweeps the calendar's structural parameter across
-        "many tiny buckets", the default, and "one giant bucket" — the
-        docstring's claim that bucket width can never change execution
-        order, tested rather than trusted.
-        """
-        cal = CalendarQueue(bucket_width=width)
+    @given(ops=_ops)
+    def test_interleaved_ops_match_heap(self, ops):
+        """Arbitrary push/pop/peek/cancel/compact interleavings agree."""
+        cal = CalendarQueue()
         heap = BinaryHeapQueue()
         pushed: list[tuple[Event, Event]] = []
         seq = 0
@@ -129,20 +124,15 @@ class TestLockstep:
         assert len(got) == len(EventPriority) * 3
 
     def test_bucket_boundary_does_not_reorder(self):
-        """Events straddling a bucket edge still pop in time order."""
-        width = calendar_mod.DEFAULT_BUCKET_WIDTH
-        cal = CalendarQueue(bucket_width=width)
-        times = [width - 1e-9, width, width + 1e-9, 2 * width, 0.0]
+        """Times a hair apart (once a bucket edge) pop in time order."""
+        cal = CalendarQueue()
+        times = [16.0 - 1e-9, 16.0, 16.0 + 1e-9, 2 * 16.0, 0.0]
         for i, t in enumerate(times):
             cal.push(Event(time=t, priority=0, seq=i, callback=lambda: None))
         got = []
         while (ev := cal.pop()) is not None:
             got.append(ev.time)
         assert got == sorted(times)
-
-    def test_invalid_bucket_width_rejected(self):
-        with pytest.raises(ValueError):
-            CalendarQueue(bucket_width=0.0)
 
 
 class TestTombstoneAccounting:
@@ -208,3 +198,98 @@ class TestTombstoneAccounting:
         assert q.pop() is ev
         ev.cancel()  # owner already detached: nothing to account
         assert q.tombstones == 0
+
+
+def _events(n, start=0):
+    return [
+        Event(time=float(i % 7), priority=0, seq=i, callback=lambda: None)
+        for i in range(start, start + n)
+    ]
+
+
+@pytest.mark.parametrize("factory", [CalendarQueue, BinaryHeapQueue])
+class TestQueueContract:
+    """The queue surface the simulator relies on, for both structures."""
+
+    def test_clear_detaches_every_entry(self, factory):
+        q = factory()
+        events = _events(5)
+        for ev in events:
+            q.push(ev)
+        events[0].cancel()
+        q.clear()
+        assert len(q) == 0 and q.tombstones == 0
+        assert all(ev.owner is None for ev in events)
+        events[1].cancel()  # no owner left to account it
+        assert q.tombstones == 0
+        assert q.pop() is None and q.peek() is None
+
+    def test_peek_discards_front_tombstones(self, factory):
+        q = factory()
+        events = _events(4)
+        for ev in events:
+            q.push(ev)
+        events[0].cancel()  # times 0.0 and 1.0: the two earliest
+        events[1].cancel()
+        assert q.tombstones == 2
+        live = q.peek()
+        assert live is not None and not live.cancelled
+        assert q.tombstones == 0 and len(q) == 2
+        assert q.pop() is live
+
+    def test_compaction_waits_for_tombstones_to_be_half(self, factory):
+        q = factory()
+        n = 4 * COMPACT_MIN_TOMBSTONES
+        events = _events(n)
+        for ev in events:
+            q.push(ev)
+        # Enough tombstones, but only a quarter of the entries.
+        for ev in events[:COMPACT_MIN_TOMBSTONES]:
+            ev.cancel()
+        assert q.compactions == 0 and q.tombstones == COMPACT_MIN_TOMBSTONES
+        for ev in events[COMPACT_MIN_TOMBSTONES:n // 2 - 1]:
+            ev.cancel()
+        assert q.compactions == 0
+        events[n // 2 - 1].cancel()  # now exactly half
+        assert q.compactions == 1
+        assert q.tombstones == 0 and len(q) == n // 2
+        assert sorted(ev.seq for ev in q.iter_pending()) == list(
+            range(n // 2, n)
+        )
+
+    def test_iter_pending_lists_live_events_only(self, factory):
+        q = factory()
+        events = _events(6)
+        for ev in events:
+            q.push(ev)
+        events[2].cancel()
+        events[4].cancel()
+        assert sorted(ev.seq for ev in q.iter_pending()) == [0, 1, 3, 5]
+
+
+def test_churn_counters_match_reference():
+    """Length, tombstones and compaction count agree op by op under a
+    long random churn, so ``heap_compactions`` in results cannot move."""
+    rng = random.Random(20060619)
+    cal, heap = CalendarQueue(), BinaryHeapQueue()
+    live: list[tuple[Event, Event]] = []
+    for seq in range(20_000):
+        roll = rng.random()
+        if roll < 0.5 or not live:
+            t = rng.uniform(0.0, 500.0)
+            twins = _twin(t, rng.randrange(len(EventPriority)), seq)
+            cal.push(twins[0])
+            heap.push(twins[1])
+            live.append(twins)
+        elif roll < 0.9:
+            ev_c, ev_h = live.pop(rng.randrange(len(live)))
+            ev_c.cancel()
+            ev_h.cancel()
+        else:
+            a, b = cal.pop(), heap.pop()
+            assert _key(a) == _key(b)
+            live = [tw for tw in live if tw[0] is not a]
+        assert (len(cal), cal.tombstones, cal.compactions) == (
+            len(heap), heap.tombstones, heap.compactions
+        )
+    assert cal.compactions > 0

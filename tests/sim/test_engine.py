@@ -29,6 +29,17 @@ class TestClock:
         sim.run(until=4.0)
         assert fired == [1]
 
+    def test_restored_event_keeps_its_place(self, sim):
+        """An event ``run(until=...)`` popped but did not execute goes
+        back with its original seq, ahead of later same-instant peers."""
+        order = []
+        sim.at(10.0, lambda: order.append("first"))
+        sim.run(until=5.0)
+        sim.at(10.0, lambda: order.append("later"))
+        sim.at(10.0, lambda: order.append("submit"), EventPriority.SUBMIT)
+        sim.run()
+        assert order == ["submit", "first", "later"]
+
     def test_clock_monotone_across_runs(self, sim):
         sim.at(3.0, lambda: None)
         sim.run(until=5.0)

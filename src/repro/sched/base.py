@@ -24,24 +24,24 @@ Each scheduler manages a single queue with no request priorities
   invariants after every transition, under the same
   zero-overhead-when-off discipline.
 
-Performance note: the paper's workload is an *overloaded* peak-hour
-stream (queues grow by ~700 requests/hour, Section 4.1), so queues reach
-thousands of entries and anything O(queue) per event dominates.  The
-base class therefore tracks the pending count incrementally, compacts
-cancelled entries lazily, and offers subclasses an O(1)
-"could anything start?" guard (:meth:`_start_possible`) based on a
-conservative lower bound of the smallest pending request.
+Performance note: a scheduling pass runs after most events, so its
+fixed cost matters more than its per-slot cost (on the benchmark a pass
+sees 54 queue slots at the median, 21 pending, 213 at most; undrained
+overload reaches thousands).  Three pieces of pass state are kept in
+O(1) per transition:
 
-Queue state additionally lives in *struct-of-arrays* form: three numpy
-arrays (``nodes``, ``requested_time``, ``pending``) aligned with the
-``queue`` list, maintained incrementally (append on submit, O(1) bit
-flip on start/cancel, rebuilt on compaction).  Scheduling passes scan
-these arrays with vectorised boolean operations instead of iterating
-thousands of request objects per event — the array scan *is* the hot
-loop under overload.  Each request carries its array index in
-``Request.slot``; compaction rebuilds the arrays and slots wholesale
-(:meth:`_sync_queue_arrays`).  ``queue`` is never reordered: it stays
-in submission order.
+* ``_q_need``, an int64 array aligned with ``queue`` (index
+  ``Request.slot``): a pending request's node count, else the sentinel
+  :data:`_GONE`, so "pending and fits" is ``need <= free``;
+  ``_q_reqtime`` holds requested times alongside, and compaction
+  rebuilds both (:meth:`_sync_queue_arrays`);
+* ``_head``, a position with no pending request before it
+  (:meth:`_head_index`);
+* ``_min_need``, the exact smallest pending node count, kept through a
+  per-node-count tally: the O(1) guard :meth:`_start_possible`.
+
+``queue`` is never reordered: it stays in submission order, and
+started or cancelled entries stay in it until lazy compaction.
 
 Subclasses implement :meth:`_schedule_pass` only.
 """
@@ -75,6 +75,10 @@ _COMPACT_SLACK = 64
 
 #: initial capacity of the struct-of-arrays queue state
 _SOA_CAPACITY = 64
+
+#: ``_q_need`` of a slot whose request is not pending: no cluster is
+#: this large, so ``need <= free`` never selects it
+_GONE = 1 << 62
 
 
 class SchedulerError(RuntimeError):
@@ -156,17 +160,15 @@ class Scheduler(abc.ABC):
         # the pass scanning a stale snapshot with live indices.
         self._in_pass = False
         # Struct-of-arrays queue state, aligned with ``self.queue``
-        # (including stale entries awaiting compaction).  ``nodes`` and
-        # ``requested_time`` are immutable per request; ``pending`` is
-        # the live mask flipped on every state transition.
-        self._q_nodes = np.zeros(_SOA_CAPACITY, dtype=np.int64)
+        # (including stale entries awaiting compaction); slots past
+        # ``len(queue)`` are never read.  See the module docstring.
+        self._q_need = np.zeros(_SOA_CAPACITY, dtype=np.int64)
         self._q_reqtime = np.zeros(_SOA_CAPACITY, dtype=np.float64)
-        self._q_pending = np.zeros(_SOA_CAPACITY, dtype=bool)
-        # Conservative lower bound on the smallest pending node count.
-        # Starts/cancels can only raise the true minimum, so the cached
-        # bound stays valid (it may trigger a useless pass, never skip a
-        # useful one).  Tightened whenever a full pass finds nothing.
-        self._min_nodes_lb = 1
+        self._head = 0
+        # Exact smallest pending node count (``total_nodes + 1`` if none)
+        # via ``_need_tally[k]`` = pending requests of ``k`` nodes; the
+        # last entry is a permanent 1 that stops :meth:`_dequeue`'s walk.
+        self._reset_need_tally()
         # Blocked-state memo ``(free, shadow, extra, head)`` recorded by
         # EASY/FCFS passes that started nothing (``None`` = unknown, be
         # conservative).  While set, it proves no pending request can
@@ -247,15 +249,16 @@ class Scheduler(abc.ABC):
         request.submitted_at = now
         slot = len(self.queue)
         self.queue.append(request)
-        if slot == len(self._q_nodes):
+        if slot == len(self._q_need):
             self._grow_arrays()
         request.slot = slot
-        self._q_nodes[slot] = request.nodes
+        nodes = request.nodes
+        self._q_need[slot] = nodes
         self._q_reqtime[slot] = request.requested_time
-        self._q_pending[slot] = True
         self._pending_count += 1
-        if request.nodes < self._min_nodes_lb:
-            self._min_nodes_lb = request.nodes
+        self._need_tally[nodes] += 1
+        if nodes < self._min_need:
+            self._min_need = nodes
         self.stats.submitted += 1
         if self._pending_count > self.stats.max_queue_length:
             self.stats.max_queue_length = self._pending_count
@@ -308,8 +311,7 @@ class Scheduler(abc.ABC):
             )
         request.state = _CANCELLED
         request.cancelled_at = self.sim.now
-        self._q_pending[request.slot] = False
-        self._pending_count -= 1
+        self._dequeue(request)
         self.stats.cancelled += 1
         self._maybe_compact()
         if self.tracer is not None:
@@ -365,8 +367,9 @@ class Scheduler(abc.ABC):
                     if self.auditor is not None:
                         self.auditor.after_cancel(self, request)
             self.queue = []
-            self._q_pending[:] = False
+            self._head = 0
             self._pending_count = 0
+            self._reset_need_tally()
             self.stats.dropped += len(dropped)
         return dropped
 
@@ -405,16 +408,14 @@ class Scheduler(abc.ABC):
             self._compact_queue()
 
     def _compact_queue(self) -> None:
-        # Direct state check: this comprehension runs over thousands of
-        # entries per pass under overload (see the class docstring).
-        pending = RequestState.PENDING
-        self.queue = [r for r in self.queue if r.state is pending]
+        self.queue = [r for r in self.queue if r.state is _PENDING]
+        self._head = 0
         self._sync_queue_arrays()
 
     def _grow_arrays(self) -> None:
         """Double the struct-of-arrays capacity (amortised O(1) append)."""
-        cap = max(len(self._q_nodes) * 2, _SOA_CAPACITY)
-        for name in ("_q_nodes", "_q_reqtime", "_q_pending"):
+        cap = max(len(self._q_need) * 2, _SOA_CAPACITY)
+        for name in ("_q_need", "_q_reqtime"):
             old = getattr(self, name)
             fresh = np.zeros(cap, dtype=old.dtype)
             fresh[: len(old)] = old
@@ -426,39 +427,56 @@ class Scheduler(abc.ABC):
         O(queue); called only by :meth:`_compact_queue`.
         """
         queue = self.queue
-        n = len(queue)
-        while n > len(self._q_nodes):
+        while len(queue) > len(self._q_need):
             self._grow_arrays()
-        nodes = self._q_nodes
+        need = self._q_need
         reqtime = self._q_reqtime
-        pending = self._q_pending
-        pending_state = RequestState.PENDING
-        for i, r in enumerate(queue):
+        for i, r in enumerate(queue):  # every entry is pending
             r.slot = i
-            nodes[i] = r.nodes
+            need[i] = r.nodes
             reqtime[i] = r.requested_time
-            pending[i] = r.state is pending_state
-        pending[n:] = False
+
+    def _reset_need_tally(self) -> None:
+        """Empty the smallest-request guard (nothing pending)."""
+        total = self.cluster.total_nodes
+        self._need_tally = [0] * (total + 1) + [1]
+        self._min_need = total + 1
+
+    def _dequeue(self, request: Request) -> None:
+        """Account for ``request`` leaving the pending set (start/cancel)."""
+        self._q_need[request.slot] = _GONE
+        self._pending_count -= 1
+        nodes = request.nodes
+        tally = self._need_tally
+        tally[nodes] -= 1
+        if nodes == self._min_need:
+            while not tally[nodes]:
+                nodes += 1
+            self._min_need = nodes
+
+    def _head_index(self) -> int:
+        """Advance ``_head`` past started/cancelled slots and return it.
+
+        Equals ``len(queue)`` when nothing is pending.  Amortised O(1):
+        each slot is passed once between compactions.
+        """
+        queue = self.queue
+        n = len(queue)
+        h = self._head
+        while h < n and queue[h].state is not _PENDING:
+            h += 1
+        self._head = h
+        return h
 
     def _start_possible(self) -> bool:
         """O(1) guard: could the algorithm possibly start anything now?
 
         All three algorithms only start requests that fit in the free
         nodes right now, so ``free < min pending nodes`` rules a start
-        out.  Uses the conservative cached bound (see class docstring).
+        out.  The minimum is exact and ``total_nodes + 1`` when nothing
+        is pending, so this prunes every pass where no request fits.
         """
-        if self._pending_count == 0:
-            return False
-        return self.cluster.free_nodes >= self._min_nodes_lb
-
-    def _tighten_min_nodes(self) -> None:
-        """Recompute the exact smallest pending node count (one array min)."""
-        n = len(self.queue)
-        mask = self._q_pending[:n]
-        if mask.any():
-            self._min_nodes_lb = int(self._q_nodes[:n][mask].min())
-        else:
-            self._min_nodes_lb = self.cluster.total_nodes + 1
+        return self.cluster.free_nodes >= self._min_need
 
     def _request_pass(self) -> None:
         """Coalesce all same-instant state changes into one pass.
@@ -468,11 +486,13 @@ class Scheduler(abc.ABC):
         changes (submissions into a full cluster, sibling cancellations)
         cannot enable a start, and in the seed kernel the resulting
         guaranteed-no-op pass events were the single largest event
-        population.  Skipping them is invisible to the trajectory — the
-        guard is conservative (false implies no algorithm could start
-        anything), every enabling transition (finish, submit, come_up,
+        population.  The guard is exact (false means no pending request
+        fits), every enabling transition (finish, submit, come_up,
         reservation timer) re-requests a pass with the guard re-checked,
-        and dropping events never reorders the survivors.
+        and dropping events never reorders the survivors.  An idle pass
+        only affects which later passes are idle (the blocked memo, CBF's
+        reservation timer), except that CBF's timer also moves periodic
+        compression, so CBF with compression on keeps a looser guard.
         """
         if self._pass_pending:
             return
@@ -492,7 +512,6 @@ class Scheduler(abc.ABC):
             return
         if not self._start_possible():
             return
-        before = self.stats.started
         # Compact *before* entering the pass (the flag suppresses any
         # reentrant compaction while pass-local snapshots are live).
         self._maybe_compact()
@@ -501,10 +520,6 @@ class Scheduler(abc.ABC):
             self._schedule_pass()
         finally:
             self._in_pass = False
-        if self.stats.started == before:
-            # Nothing started: tighten the guard so the next no-op
-            # instants are skipped in O(1).
-            self._tighten_min_nodes()
         if self.auditor is not None:
             self.auditor.after_pass(self)
 
@@ -522,8 +537,7 @@ class Scheduler(abc.ABC):
         self.cluster.allocate(request.nodes)
         request.state = _RUNNING
         request.start_time = now
-        self._q_pending[request.slot] = False
-        self._pending_count -= 1
+        self._dequeue(request)
         self.running.append(request)
         self._releases_sorted = None
         self.stats.started += 1
@@ -576,14 +590,20 @@ class Scheduler(abc.ABC):
         # awaiting lazy compaction, but never CREATED ones.
         assert all(r.state is not RequestState.CREATED for r in self.queue)
         assert self._pending_count == sum(1 for r in self.queue if r.is_pending)
-        pending_nodes = [r.nodes for r in self.queue if r.is_pending]
-        if pending_nodes:
-            assert self._min_nodes_lb <= min(pending_nodes)
-        # Struct-of-arrays mirrors: slots aligned, live mask exact.
+        # Pass state: slots aligned, ``need`` exact, nothing pending
+        # before the head, and the guard equal to the true minimum.
         for i, r in enumerate(self.queue):
             assert r.slot == i, f"{self.name}: slot {r.slot} != index {i}"
-            assert self._q_pending[i] == r.is_pending
-            assert self._q_nodes[i] == r.nodes
+            assert self._q_need[i] == (r.nodes if r.is_pending else _GONE), (
+                f"{self.name}: need[{i}] stale for {r.state.value} request"
+            )
+        assert not any(r.is_pending for r in self.queue[: self._head]), (
+            f"{self.name}: pending request before head {self._head}"
+        )
+        pending_nodes = [r.nodes for r in self.queue if r.is_pending]
+        assert self._min_need == min(
+            pending_nodes, default=self.cluster.total_nodes + 1
+        ), f"{self.name}: guard {self._min_need} is not the smallest request"
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -45,7 +45,7 @@ import numpy as np
 from ..cluster.cluster import Cluster
 from ..sim.engine import Simulator
 from ..sim.events import Event, EventPriority
-from .base import Scheduler, SchedulerError
+from .base import _PENDING, Scheduler, SchedulerError
 from .job import Request
 from .profile import Profile
 
@@ -89,6 +89,9 @@ class CBFScheduler(Scheduler):
         self._dirty = False
         self._last_compress = sim.now
         self.compressions = 0
+        # Pass guard with compression on (see _start_possible): the
+        # smallest request pending at the last idle pass or submitted since.
+        self._pass_floor = 1
 
     @property
     def profile(self) -> Profile:
@@ -98,6 +101,8 @@ class CBFScheduler(Scheduler):
     # -- event hooks -----------------------------------------------------
 
     def _on_submit(self, request: Request) -> None:
+        if request.nodes < self._pass_floor:
+            self._pass_floor = request.nodes
         start = self._profile.find_start(
             request.nodes, request.requested_time, self.sim.now
         )
@@ -128,6 +133,7 @@ class CBFScheduler(Scheduler):
 
     def _schedule_pass(self) -> None:
         now = self.sim.now
+        started = self.stats.started
         self._pass_count += 1
         if self._pass_count % _TRIM_EVERY == 0:
             self._profile.trim(now)
@@ -157,16 +163,14 @@ class CBFScheduler(Scheduler):
         #    is a superset of the old per-request scan and the
         #    per-candidate rechecks below keep the semantics identical.
         free_now = self._profile.free_at(now)
-        if free_now > 0 and self._pending_count > 0:
+        if free_now >= self._min_need:
             n = len(self.queue)
-            candidates = np.flatnonzero(
-                self._q_pending[:n] & (self._q_nodes[:n] <= free_now)
-            )
+            candidates = np.flatnonzero(self._q_need[:n] <= free_now)
             for i in candidates:
                 if free_now <= 0:
                     break
                 req = self.queue[i]
-                if not self._q_pending[i] or req.nodes > free_now:
+                if req.state is not _PENDING or req.nodes > free_now:
                     continue
                 rs = req.reserved_start
                 assert rs is not None
@@ -178,6 +182,8 @@ class CBFScheduler(Scheduler):
                     free_now = self._profile.free_at(now)
 
         self._arm_timer()
+        if self.stats.started == started:
+            self._pass_floor = self._min_need
 
     def _start_at_reservation(self, request: Request) -> None:
         """Start a request exactly at its reserved time (hold == reservation)."""
@@ -276,9 +282,16 @@ class CBFScheduler(Scheduler):
         # reservation is due or compression is pending.
         if self._due and self._due[0][0] <= self.sim.now:
             return True
-        if self._should_compress(self.sim.now):
-            return True
-        return super()._start_possible()
+        if self.compress_interval is None:
+            return super()._start_possible()
+        # Compression runs in the first pass after its interval, and an
+        # idle pass still re-arms the reservation timer, whose firing
+        # (even for a reservation gone stale) can be that first pass:
+        # idle passes move compression, so keep the looser floor here.
+        return (
+            self._should_compress(self.sim.now)
+            or self.cluster.free_nodes >= self._pass_floor
+        )
 
     # -- compression (optional; ablation/textbook mode) ------------------------
 

@@ -61,50 +61,50 @@ class EASYScheduler(Scheduler):
         return shadow, extra
 
     def _schedule_pass(self) -> None:
-        # Fixpoint loop: every successful start changes free nodes (and,
-        # via sibling cancellation, possibly the live mask), so the head
-        # reservation is recomputed until no request can start.  The
-        # queue is scanned through the struct-of-arrays mirror: the head
-        # is one ``argmax`` over the live mask and the backfill filter
-        # is a single vectorised boolean expression over the whole
-        # queue — thousands of entries per pass under overload make
-        # these array operations the whole cost of the pass.  A start flips
-        # pending bits in place (its own slot, plus any siblings the
-        # coordinator cancels reentrantly), so the mask is re-read each
-        # iteration; the queue list itself never grows mid-pass.
+        # Fixpoint loop: every start changes free nodes (and, through
+        # sibling cancellation, possibly other slots), so the head
+        # reservation is recomputed until nothing can start.  The head
+        # is ``_head`` advanced in Python; backfill is one vectorised
+        # comparison against ``need``, whose sentinel keeps dead slots
+        # and the (non-fitting) head out.  At the benchmark's queue
+        # sizes (54 slots at the median, 21 pending, 213 at most) each
+        # array call costs about its fixed numpy overhead, so they are
+        # few.  ``queue`` never grows mid-pass: ``n`` and views stay valid.
         queue = self.queue
         cluster = self.cluster
         n = len(queue)
-        mask = self._q_pending[:n]
-        nd = self._q_nodes[:n]
+        need = self._q_need[:n]
         rt = self._q_reqtime[:n]
         now = self.sim.now
         while True:
-            head_i = mask.argmax()
-            if not mask[head_i]:
+            h = self._head_index()
+            free = cluster.free_nodes
+            if h == n:
                 # Empty queue: only a new submission that fits outright
                 # can start (it becomes the head), which the memo's
                 # ``extra = free`` bound expresses exactly.
-                free = cluster.free_nodes
                 self._block = (free, -math.inf, free, None)
                 return
-            free = cluster.free_nodes
-            if nd[head_i] <= free:
-                self._start(queue[head_i])
+            head = queue[h]
+            if head.nodes <= free:
+                self._start(head)
                 continue
-            shadow, extra = self._head_reservation(int(nd[head_i]))
-            ok = mask & (nd <= free) & ((now + rt <= shadow) | (nd <= extra))
-            ok[head_i] = False
-            cand_i = ok.argmax()
-            if not ok[cand_i]:
-                self._block = (free, shadow, extra, queue[head_i])
-                return
-            req = queue[cand_i]
-            self._start(req)
-            self.stats.backfilled += 1
-            if self.auditor is not None:
-                # Legality: recomputed from the post-start state, the
-                # head's shadow time must not have moved later.
-                self.auditor.check_easy_backfill(
-                    self, queue[head_i], req, shadow
-                )
+            shadow, extra = self._head_reservation(head.nodes)
+            # Backfill the first request that fits now and ends by the
+            # shadow or stays within ``extra``; skipped when the guard
+            # shows nothing fits.  Keep ``now + rt <= shadow`` verbatim:
+            # ``rt <= shadow - now`` rounds differently.
+            if self._min_need <= free:
+                ok = need <= np.where(now + rt <= shadow, free, min(free, extra))
+                i = ok.argmax()
+                if ok[i]:
+                    req = queue[i]
+                    self._start(req)
+                    self.stats.backfilled += 1
+                    if self.auditor is not None:
+                        # Legality: recomputed from the post-start state,
+                        # the head's shadow time must not have moved later.
+                        self.auditor.check_easy_backfill(self, head, req, shadow)
+                    continue
+            self._block = (free, shadow, extra, head)
+            return

@@ -18,28 +18,25 @@ class FCFSScheduler(Scheduler):
     algorithm = "fcfs"
 
     def _schedule_pass(self) -> None:
-        # Head = first set bit in the live mask; started/cancelled
-        # entries stay in place (their bit is clear) and are reclaimed
-        # by lazy compaction, keeping ``Request.slot`` indices stable.
+        # The head is ``_head`` advanced past dead slots: at the
+        # benchmark's queue sizes (54 slots at the median, 21 pending,
+        # 213 at most) a state check per slot beats any numpy call.
         queue = self.queue
-        nodes = self._q_nodes
-        pending = self._q_pending
-        n = len(queue)
         while True:
-            mask = pending[:n]
-            head_i = int(mask.argmax())
+            h = self._head_index()
             free = self.cluster.free_nodes
-            if not mask[head_i]:
+            if h == len(queue):
                 # Empty queue: a new submission starts iff it fits, the
                 # ``extra = free`` memo bound (see the base class).
                 self._block = (free, -math.inf, free, None)
                 return
-            if nodes[head_i] > free:
+            head = queue[h]
+            if head.nodes > free:
                 # Blockaded: with no backfilling, *no* submission can
                 # start behind the stuck head (extra = -1 rejects all).
-                self._block = (free, -math.inf, -1, queue[head_i])
+                self._block = (free, -math.inf, -1, head)
                 return
-            self._start(queue[head_i])
+            self._start(head)
 
     def check_invariants(self) -> None:
         super().check_invariants()

@@ -15,14 +15,13 @@ recorded from the numpy-backed profile; any change to the profile's
 representation must reproduce that event stream, byte for byte.
 """
 
-import collections
-import json
 from pathlib import Path
 
 from repro.core.config import ExperimentConfig
 from repro.faults import FaultConfig
-from repro.obs.trace import run_single_traced
 from repro.sched.cbf import CBFScheduler
+
+from ._golden import any_call, check_golden
 
 GOLDEN = Path(__file__).parent / "data" / "cbf_golden.jsonl"
 
@@ -48,41 +47,11 @@ CONFIGS = (
 )
 
 #: the CBF method each config exists to exercise
-PATHS = ("_start_early", "compress", "_restore_overdue")
-
-
-def render_config(ci: int, cfg: ExperimentConfig) -> list[str]:
-    traced = run_single_traced(cfg, replication=0)
-    return [
-        json.dumps(
-            {
-                "config": ci,
-                "t": t,
-                "type": etype,
-                "cluster": cluster,
-                "request": request_id,
-                "job": job_id,
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-        for t, etype, cluster, request_id, job_id in traced.events
-    ]
+PATHS = tuple(
+    (CBFScheduler, name, any_call)
+    for name in ("_start_early", "compress", "_restore_overdue")
+)
 
 
 def test_cbf_traces_byte_identical(monkeypatch):
-    calls: collections.Counter = collections.Counter()
-    for name in PATHS:
-        original = getattr(CBFScheduler, name)
-
-        def counted(self, *args, _original=original, _name=name):
-            calls[_name] += 1
-            return _original(self, *args)
-
-        monkeypatch.setattr(CBFScheduler, name, counted)
-    lines = []
-    for ci, (cfg, path) in enumerate(zip(CONFIGS, PATHS)):
-        calls.clear()
-        lines += render_config(ci, cfg)
-        assert calls[path] > 0, f"config {ci} never ran {path}"
-    assert "\n".join(lines) + "\n" == GOLDEN.read_text()
+    check_golden(monkeypatch, GOLDEN, CONFIGS, PATHS)

@@ -334,8 +334,11 @@ def run_single(
         # drain).
         injector.install(sim, platform, coordinator, horizon=config.duration)
     t_generated = time.perf_counter()
-    for spec in merge_streams(streams):
-        targets = selector.choose(spec.origin, spec.nodes, spec.uses_redundancy)
+    specs = merge_streams(streams)
+    jobs = ((spec.origin, spec.nodes, spec.uses_redundancy) for spec in specs)
+    # No name holds the list of target lists: each is freed with its
+    # job's submission rather than kept for the whole run.
+    for spec, targets in zip(specs, selector.choose_many(jobs)):
         coordinator.schedule_job(spec, targets)
     if config.drain:
         sim.run()

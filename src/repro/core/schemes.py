@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -139,8 +139,21 @@ def geometric_bias_weights(n_clusters: int, ratio: float = 0.5) -> np.ndarray:
     return w / w.sum()
 
 
+#: a :class:`TargetSelector` memo entry for one ``(origin, nodes)``:
+#: the eligible remotes, the remote copies to pick, and the
+#: ``Generator.integers`` bounds of that pick (see ``_draw_uniform``)
+_Entry = tuple[list[int], int, tuple[int, ...]]
+
+
 class TargetSelector:
     """Chooses which clusters receive a job's redundant copies.
+
+    :meth:`choose_many` picks the targets of a whole run, in job order;
+    :meth:`choose` is its one-job case.  Uniform remote targets are
+    drawn with one ``Generator.integers`` call per batch, draw for draw
+    the values that one ``rng.choice(len(remotes), take,
+    replace=False)`` per job would give, leaving the generator in the
+    same state (see :meth:`_draw_uniform`).
 
     Parameters
     ----------
@@ -153,7 +166,7 @@ class TargetSelector:
     cluster_weights:
         Optional non-uniform account distribution (Table 2); defaults
         to uniform.  Weights are renormalised over the eligible remote
-        clusters for each job.
+        clusters for each job, which is sampled one job at a time.
     placement:
         ``"uniform"`` (default) draws remote targets randomly from the
         eligible set, as the paper's users do.  ``"balanced"`` is the
@@ -185,6 +198,12 @@ class TargetSelector:
         self.node_counts = list(node_counts)
         self.rng = rng
         self.placement = placement
+        #: remote copies a redundant job asks for (0: local only)
+        self._extra = (
+            scheme.copies(len(self.node_counts)) - 1 if scheme.is_redundant else 0
+        )
+        #: memo of every valid ``(origin, nodes)`` pair seen so far
+        self._memo: dict[tuple[int, int], _Entry] = {}
         #: copies assigned per cluster so far (balanced placement state)
         self._assigned = [0] * len(self.node_counts)
         if cluster_weights is not None:
@@ -199,20 +218,66 @@ class TargetSelector:
         else:
             self.cluster_weights = None
 
-    def eligible_remotes(self, origin: int, nodes: int) -> list[int]:
-        """Remote clusters large enough to run a ``nodes``-node job."""
-        return [
-            i
-            for i, cap in enumerate(self.node_counts)
-            if i != origin and cap >= nodes
-        ]
-
     def choose(self, origin: int, nodes: int, uses_redundancy: bool) -> list[int]:
         """Target clusters for one job; the origin is always first.
 
         Non-redundant jobs — and redundant jobs with no eligible remote
         cluster — go to the local cluster only.
         """
+        return self.choose_many([(origin, nodes, uses_redundancy)])[0]
+
+    def choose_many(
+        self, jobs: Iterable[tuple[int, int, bool]]
+    ) -> list[list[int]]:
+        """Targets for each ``(origin, nodes, uses_redundancy)`` job.
+
+        Equal to calling :meth:`choose` on each job in turn: the same
+        targets, the same generator state afterwards.
+        """
+        memo = self._memo
+        out: list[list[int]] = []
+        # (targets, memo entry) of each job awaiting the uniform draw
+        uniform: list[tuple[list[int], _Entry]] = []
+        for origin, nodes, uses_redundancy in jobs:
+            entry = memo.get((origin, nodes))
+            if entry is None:
+                entry = self._admit(origin, nodes)
+            targets = [origin]
+            out.append(targets)
+            remotes, take, _ = entry
+            if not (uses_redundancy and take):
+                continue
+            if self.placement == "balanced":
+                # Least-loaded-first, ties by index; no RNG draw at all,
+                # so the targets stream stays untouched (common random
+                # numbers across placements are preserved for the
+                # *other* streams).
+                picked = sorted(remotes, key=lambda i: (self._assigned[i], i))[:take]
+                self._assigned[origin] += 1
+                for i in picked:
+                    self._assigned[i] += 1
+                targets += picked
+            elif self.cluster_weights is not None:
+                w = self.cluster_weights[remotes]
+                total = w.sum()
+                if total <= 0:
+                    # All eligible remotes carry zero weight: fall back
+                    # to uniform rather than silently dropping redundancy.
+                    w = np.ones(len(remotes))
+                    total = float(len(remotes))
+                probs = w / total
+                chosen = self.rng.choice(
+                    len(remotes), size=take, replace=False, p=probs
+                )
+                targets += [remotes[int(i)] for i in chosen]
+            else:
+                uniform.append((targets, entry))
+        if uniform:
+            self._draw_uniform(uniform)
+        return out
+
+    def _admit(self, origin: int, nodes: int) -> _Entry:
+        """Validate a first-seen ``(origin, nodes)`` pair and memoise it."""
         if not 0 <= origin < len(self.node_counts):
             raise ValueError(f"origin {origin} out of range")
         if nodes > self.node_counts[origin]:
@@ -220,36 +285,45 @@ class TargetSelector:
                 f"job of {nodes} nodes cannot originate at cluster {origin} "
                 f"({self.node_counts[origin]} nodes)"
             )
-        if not uses_redundancy or not self.scheme.is_redundant:
-            return [origin]
-        k = self.scheme.copies(len(self.node_counts))
-        if k <= 1:
-            return [origin]
-        remotes = self.eligible_remotes(origin, nodes)
-        if not remotes:
-            return [origin]
-        take = min(k - 1, len(remotes))
-        if self.placement == "balanced":
-            # Least-loaded-first, ties by index; no RNG draw at all, so
-            # the targets stream stays untouched (common random numbers
-            # across placements are preserved for the *other* streams).
-            picked = sorted(remotes, key=lambda i: (self._assigned[i], i))[:take]
-            self._assigned[origin] += 1
-            for i in picked:
-                self._assigned[i] += 1
-            return [origin] + picked
-        if self.cluster_weights is None:
-            chosen = self.rng.choice(len(remotes), size=take, replace=False)
-            picked = [remotes[int(i)] for i in chosen]
-        else:
-            w = self.cluster_weights[remotes]
-            total = w.sum()
-            if total <= 0:
-                # All eligible remotes carry zero weight: fall back to
-                # uniform rather than silently dropping redundancy.
-                w = np.ones(len(remotes))
-                total = float(len(remotes))
-            probs = w / total
-            chosen = self.rng.choice(len(remotes), size=take, replace=False, p=probs)
-            picked = [remotes[int(i)] for i in chosen]
-        return [origin] + picked
+        # Remote clusters large enough to run a ``nodes``-node job.
+        remotes = [
+            i
+            for i, cap in enumerate(self.node_counts)
+            if i != origin and cap >= nodes
+        ]
+        n = len(remotes)
+        take = min(self._extra, n)
+        highs = (*range(n - take + 1, n + 1), *range(take, 1, -1))
+        entry = self._memo[(origin, nodes)] = (remotes, take, highs)
+        return entry
+
+    def _draw_uniform(self, jobs: list[tuple[list[int], _Entry]]) -> None:
+        """Append ``take`` uniform remotes to each job's targets, in order.
+
+        ``Generator.choice(n, take, replace=False)`` (numpy 2.x, for
+        ``n <= 10_000``, below which it never tail-shuffles) runs Floyd's
+        algorithm — one draw on ``[0, j]`` for each ``j = n-take …
+        n-1``, keeping ``j`` itself when the draw is already taken —
+        then shuffles positions ``take-1 … 1`` with a draw on ``[0, i]``
+        each.  ``Generator.integers(0, highs)`` makes each element's
+        draw with the same bounded-integer routine, so one call over
+        every job's bounds, concatenated in job order, yields exactly
+        the values the per-job ``choice`` calls would draw.
+        """
+        highs: list[int] = []
+        for _, (_, _, bounds) in jobs:
+            highs += bounds
+        values = self.rng.integers(0, highs).tolist()
+        pos = 0
+        for targets, (remotes, take, _) in jobs:
+            n = len(remotes)
+            picked: list[int] = []
+            for j in range(n - take, n):
+                v = values[pos]
+                pos += 1
+                picked.append(j if v in picked else v)
+            for i in range(take - 1, 0, -1):
+                s = values[pos]
+                pos += 1
+                picked[i], picked[s] = picked[s], picked[i]
+            targets += [remotes[v] for v in picked]

@@ -70,7 +70,8 @@ _CANCELLED = RequestState.CANCELLED
 _RUNNING = RequestState.RUNNING
 _COMPLETED = RequestState.COMPLETED
 
-#: compact the queue list once this many cancelled entries accumulate
+#: compact the queue list once more than this many stale (started or
+#: cancelled) entries accumulate *and* they outnumber the pending ones
 _COMPACT_SLACK = 64
 
 #: initial capacity of the struct-of-arrays queue state
@@ -404,7 +405,11 @@ class Scheduler(abc.ABC):
         if self._in_pass:
             # Deferred: see ``_in_pass`` — the next pass entry compacts.
             return
-        if len(self.queue) - self._pending_count > _COMPACT_SLACK:
+        # Proportional trigger: an O(queue) rebuild at most once per
+        # ``pending`` cancels keeps cancelling amortised O(1) on queues
+        # of thousands; the slack floor keeps short queues as they were.
+        pending = self._pending_count
+        if len(self.queue) - pending > max(_COMPACT_SLACK, pending):
             self._compact_queue()
 
     def _compact_queue(self) -> None:

@@ -223,15 +223,11 @@ op_strategy = st.one_of(
 )
 
 
-@pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
-@settings(max_examples=60, deadline=None)
-@given(ops=st.lists(op_strategy, max_size=80))
-def test_pass_state_survives_every_transition(algorithm, ops):
-    """``check_invariants`` — the ``need`` array, the head index and the
-    exact smallest-request guard — holds after every submit, cancel,
-    finish, outage (with and without a dropped queue) and recovery, and
-    after every simulator event in between.  The compaction slack is
-    shrunk so that compaction, which rebuilds all three, runs often."""
+def replay_ops(algorithm: str, ops: list[tuple]) -> None:
+    """Apply ``ops`` to a fresh scheduler, checking its invariants after
+    every op and every simulator event, then drain it.  The compaction
+    slack is shrunk so that compaction, which rebuilds the pass state,
+    runs on short sequences too."""
     sim = Simulator()
     sched = ALGORITHMS[algorithm](sim, Cluster(0, NODES))
 
@@ -280,3 +276,29 @@ def test_pass_state_survives_every_transition(algorithm, ops):
         while sim.step():
             sched.check_invariants()
     assert sched.queue_length == 0 and not sched.running
+
+
+@pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+@settings(max_examples=60, deadline=None)
+@given(ops=st.lists(op_strategy, max_size=80))
+def test_pass_state_survives_every_transition(algorithm, ops):
+    """``check_invariants`` — the ``need`` array, the head index and the
+    exact smallest-request guard — holds after every submit, cancel,
+    finish, outage (with and without a dropped queue) and recovery, and
+    after every simulator event in between."""
+    replay_ops(algorithm, ops)
+
+
+@pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+def test_pass_state_survives_compaction(algorithm):
+    """Compaction fires only once stale entries outnumber pending ones,
+    which random op sequences reach only now and then; this one
+    reaches it on every run: one request starts, five wait, and the
+    third cancel leaves four stale entries against two pending."""
+    ops = [("submit", NODES, 10.0, 1.0)] * 6 + [("cancel", 0)] * 3
+    with mock.patch.object(
+        sched_base.Scheduler, "_compact_queue",
+        autospec=True, side_effect=sched_base.Scheduler._compact_queue,
+    ) as spy:
+        replay_ops(algorithm, ops)
+    assert spy.call_count >= 1

@@ -15,7 +15,7 @@ import math
 from pathlib import Path
 from typing import Iterable, Union
 
-from ..core.results import ExperimentResult
+from ..core.results import ExperimentResult, plain
 from .tables import Table
 
 PathLike = Union[str, Path]
@@ -29,7 +29,7 @@ def _jsonable(value):
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return _jsonable(dataclasses.asdict(value))
+        return _jsonable(plain(value))
     if isinstance(value, (str, int, float, bool)) or value is None:
         return value
     return str(value)

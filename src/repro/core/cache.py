@@ -29,7 +29,6 @@ unpickling error discards the file instead of trusting it.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import os
@@ -41,7 +40,7 @@ from typing import Optional, Union
 
 from ..contracts import declared_pure
 from .config import ExperimentConfig
-from .results import ExperimentResult
+from .results import ExperimentResult, plain
 
 #: bump whenever simulator/scheduler changes alter results for an
 #: unchanged config — every older on-disk entry then misses
@@ -75,7 +74,7 @@ def config_fingerprint(
     """
     payload = {
         "schema": int(schema_version),
-        "config": dataclasses.asdict(config),
+        "config": plain(config),
     }
     canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()

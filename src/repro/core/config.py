@@ -14,6 +14,7 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Any, Mapping, Optional, Tuple, Union
 
+from ..core.results import plain
 from ..core.schemes import PLACEMENTS, get_scheme
 from ..faults import FaultConfig
 from ..policies.cancellation import get_cancellation_policy
@@ -211,10 +212,10 @@ class ExperimentConfig:
     def to_dict(self) -> dict:
         """JSON-ready field mapping; :func:`config_from_dict` inverts it.
 
-        Tuples survive ``dataclasses.asdict`` but not a JSON
+        Tuples survive :func:`~repro.core.results.plain` but not a JSON
         round-trip; the inverse converts list-valued fields back.
         """
-        return dataclasses.asdict(self)
+        return plain(self)
 
     @property
     def scheduler_kwargs(self) -> dict:

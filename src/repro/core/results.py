@@ -2,13 +2,15 @@
 
 The simulator's live objects (requests, schedulers) are reduced to
 plain records as soon as a run finishes, so results are cheap to hold
-across 50-replication sweeps and trivially serialisable.
+across 50-replication sweeps and trivially serialisable: :func:`plain`
+turns any of them (or any other dataclass) into dicts and lists.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Any, Iterable, Optional
 
 import numpy as np
 
@@ -263,3 +265,46 @@ def merge_results(results: Iterable[ExperimentResult]) -> list[ExperimentResult]
             )
         seen.add(key)
     return out
+
+
+#: leaf types :func:`plain` returns without a further type test
+_ATOMIC = frozenset({type(None), bool, int, float, str})
+
+#: field names of the records a grid holds thousands of, built once at
+#: import; any other dataclass has its fields looked up per call
+_FIELD_NAMES = {
+    cls: tuple(f.name for f in dataclasses.fields(cls))
+    for cls in (JobOutcome, ClusterOutcome, ExperimentResult)
+}
+
+
+def plain(obj: Any) -> Any:
+    """``obj`` as plain data: the stdlib's dataclass-to-dict conversion
+    without its deep copies.
+
+    Dataclass instances become dicts keyed by field name in field
+    order; lists, tuples (named tuples included) and dicts are rebuilt
+    with their own types, walked recursively.  Every container in the
+    result is fresh, so mutating it never reaches ``obj``.  Leaf values
+    (numbers, strings, numpy scalars) are shared rather than copied:
+    they are immutable in every record this package keeps.
+    """
+    cls = type(obj)
+    if cls in _ATOMIC:
+        return obj
+    names = _FIELD_NAMES.get(cls)
+    if names is None and hasattr(cls, "__dataclass_fields__"):
+        names = tuple(f.name for f in dataclasses.fields(obj))
+    if names is not None:
+        out: dict[str, Any] = {}
+        for name in names:
+            value = getattr(obj, name)
+            out[name] = value if type(value) in _ATOMIC else plain(value)
+        return out
+    if isinstance(obj, tuple) and hasattr(obj, "_fields"):
+        return cls(*[plain(v) for v in obj])
+    if isinstance(obj, (list, tuple)):
+        return cls(plain(v) for v in obj)
+    if isinstance(obj, dict):
+        return cls((plain(k), plain(v)) for k, v in obj.items())
+    return obj

@@ -166,7 +166,9 @@ class TargetSelector:
     cluster_weights:
         Optional non-uniform account distribution (Table 2); defaults
         to uniform.  Weights are renormalised over the eligible remote
-        clusters for each job, which is sampled one job at a time.
+        clusters for each job, which is sampled one job at a time; a
+        zero weight never reduces a job's copy count (see
+        :meth:`_draw_weighted`).
     placement:
         ``"uniform"`` (default) draws remote targets randomly from the
         eligible set, as the paper's users do.  ``"balanced"`` is the
@@ -259,22 +261,44 @@ class TargetSelector:
                 targets += picked
             elif self.cluster_weights is not None:
                 w = self.cluster_weights[remotes]
-                total = w.sum()
-                if total <= 0:
-                    # All eligible remotes carry zero weight: fall back
-                    # to uniform rather than silently dropping redundancy.
-                    w = np.ones(len(remotes))
-                    total = float(len(remotes))
-                probs = w / total
-                chosen = self.rng.choice(
-                    len(remotes), size=take, replace=False, p=probs
-                )
-                targets += [remotes[int(i)] for i in chosen]
+                targets += self._draw_weighted(remotes, take, w)
             else:
                 uniform.append((targets, entry))
         if uniform:
             self._draw_uniform(uniform)
         return out
+
+    def _draw_weighted(
+        self, remotes: list[int], take: int, w: np.ndarray
+    ) -> list[int]:
+        """``take`` of ``remotes``, drawn by their weights ``w`` without
+        replacement.
+
+        Zero weights never cost a copy: when fewer than ``take`` remotes
+        carry weight, every one of them is taken (in a weighted draw's
+        order) and the rest are drawn uniformly from the zero-weight
+        remotes.
+        """
+        positive = np.flatnonzero(w > 0)
+        if len(positive) >= take:
+            chosen = self.rng.choice(
+                len(remotes), size=take, replace=False, p=w / w.sum()
+            )
+            return [remotes[int(i)] for i in chosen]
+        picked: list[int] = []
+        if len(positive):
+            wp = w[positive]
+            order = self.rng.choice(
+                len(positive), size=len(positive), replace=False,
+                p=wp / wp.sum(),
+            )
+            picked = [remotes[int(positive[i])] for i in order]
+        zero = np.flatnonzero(w == 0)
+        fill = self.rng.choice(
+            len(zero), size=take - len(positive), replace=False,
+            p=np.ones(len(zero)) / len(zero),
+        )
+        return picked + [remotes[int(zero[i])] for i in fill]
 
     def _admit(self, origin: int, nodes: int) -> _Entry:
         """Validate a first-seen ``(origin, nodes)`` pair and memoise it."""

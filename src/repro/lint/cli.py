@@ -14,7 +14,6 @@ from pathlib import Path
 
 from ..obs.log import get_logger
 from .baseline import Baseline, BaselineError
-from .cache import DEFAULT_CACHE_DIR
 from .engine import EXIT_USAGE, LintUsageError, run_lint
 from .report import render_json, render_text
 from .rules import catalogue
@@ -86,17 +85,6 @@ def add_lint_parser(sub: "argparse._SubParsersAction") -> None:
         ),
     )
     lint.add_argument(
-        "--cache",
-        nargs="?",
-        const=DEFAULT_CACHE_DIR,
-        default=None,
-        metavar="DIR",
-        help=(
-            "incremental cache directory keyed by content hash "
-            f"(default when enabled: {DEFAULT_CACHE_DIR})"
-        ),
-    )
-    lint.add_argument(
         "--baseline",
         metavar="FILE",
         default=None,
@@ -138,16 +126,10 @@ def cmd_lint(args: argparse.Namespace) -> int:
             rules=args.rules,
             baseline=args.baseline,
             changed=changed,
-            cache_dir=args.cache,
         )
     except (LintUsageError, BaselineError) as exc:
         _log.error("%s", exc)
         return EXIT_USAGE
-    if args.cache is not None:
-        _log.info(
-            "analyzed %d file(s), %d served from cache (%s)",
-            result.files_checked, result.files_cached, args.cache,
-        )
     if changed is not None:
         _log.info(
             "--changed %s: reporting findings for changed files only",

@@ -1,12 +1,8 @@
 """Fact model for the interprocedural analysis.
 
-Every dataclass here is a plain, JSON-serialisable record: the
-incremental lint cache persists :class:`ModuleFacts` keyed by file
-content hash, so a warm run never re-parses an unchanged file.  The
-``to_dict``/``from_dict`` pairs are the cache schema — bump
-:data:`FACTS_SCHEMA_VERSION` when any field changes shape (the cache
-also salts its keys with a hash of the lint package sources, so code
-changes invalidate entries even without a bump).
+Every dataclass here is a plain, JSON-serialisable record; the
+``to_dict``/``from_dict`` pairs round-trip it, and
+:data:`FACTS_SCHEMA_VERSION` names the layout they agree on.
 
 Identifiers
 -----------

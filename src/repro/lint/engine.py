@@ -3,13 +3,11 @@
 Determinism is a design requirement here too (the linter lints itself):
 files are visited in sorted path order and findings are reported in
 ``(path, line, col, rule)`` order, so two runs over the same tree are
-byte-identical — including a cold run versus a warm run from the
-incremental cache.
+byte-identical.
 
 The run is two-phase.  Phase one analyzes each file independently:
 per-file rules plus extraction of the interprocedural effect summary
-(:mod:`repro.lint.effects`); both are served from the content-hash
-cache when one is configured.  Phase two assembles every summary into
+(:mod:`repro.lint.effects`).  Phase two assembles every summary into
 one :class:`~repro.lint.effects.project.ProjectContext` and runs the
 project rules (PURE001/PURE002, RACE001/RACE002, XPB001) over
 the whole call graph.  Waivers, the pragma audit and the baseline are
@@ -28,7 +26,6 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .baseline import Baseline
-from .cache import LintCache
 from .context import FileContext
 from .effects.extract import extract_module
 from .effects.model import ModuleFacts
@@ -55,8 +52,6 @@ class LintResult:
 
     findings: list[Finding] = field(default_factory=list)
     files_checked: int = 0
-    files_cached: int = 0  # served from the incremental cache (not in
-    # the report payload: cold and warm runs must stay byte-identical)
 
     @property
     def active(self) -> list[Finding]:
@@ -134,22 +129,10 @@ class _FileAnalysis:
     source: str
     findings: list[Finding]  # raw per-file rule findings (incl. LNT000)
     facts: Optional[ModuleFacts]
-    cached: bool = False
 
 
-def _analyze_file(
-    path: Path,
-    display: str,
-    source: str,
-    cache: Optional[LintCache],
-) -> _FileAnalysis:
-    """Per-file rules + effect extraction, cache-served when possible."""
-    if cache is not None:
-        entry = cache.load(display, source)
-        if entry is not None:
-            findings, facts = entry
-            return _FileAnalysis(path, display, source, findings, facts,
-                                 cached=True)
+def _analyze_file(path: Path, display: str, source: str) -> _FileAnalysis:
+    """Per-file rules + effect extraction."""
     try:
         ctx = FileContext(path, display, source)
     except SyntaxError as exc:
@@ -170,8 +153,6 @@ def _analyze_file(
             if not isinstance(rule, ProjectRule):
                 findings.extend(rule.check(ctx))
         facts = extract_module(ctx)
-    if cache is not None:
-        cache.store(display, source, findings, facts)
     return _FileAnalysis(path, display, source, findings, facts)
 
 
@@ -238,7 +219,7 @@ def lint_file(
     """
     display = display_path if display_path is not None else _display_path(path)
     source = path.read_text(encoding="utf-8")
-    analysis = _analyze_file(path, display, source, None)
+    analysis = _analyze_file(path, display, source)
     return _run_pipeline([analysis], rule_filter, None, None)
 
 
@@ -247,13 +228,11 @@ def run_lint(
     rules: Optional[Sequence[str]] = None,
     baseline: Optional[str | Path] = None,
     changed: Optional[set[Path]] = None,
-    cache_dir: Optional[str | Path] = None,
 ) -> LintResult:
     """Lint ``paths``; apply ``rules`` filter and ``baseline`` if given.
 
     ``changed`` (resolved paths) restricts which files' findings are
     reported — the whole tree is still analyzed for project summaries.
-    ``cache_dir`` enables the incremental content-hash cache.
 
     Raises :class:`LintUsageError` for unknown rules or unreadable
     paths/baselines (CLI exit code 2); returns a :class:`LintResult`
@@ -271,17 +250,14 @@ def run_lint(
     base: Optional[Baseline] = None
     if baseline is not None:
         base = Baseline.load(baseline)
-    cache = LintCache(cache_dir) if cache_dir is not None else None
 
     analyses = []
     for path in collect_files(paths):
         display = _display_path(path)
         source = path.read_text(encoding="utf-8")
-        analyses.append(_analyze_file(path, display, source, cache))
+        analyses.append(_analyze_file(path, display, source))
 
-    result = LintResult(
+    return LintResult(
         findings=_run_pipeline(analyses, rule_filter, base, changed),
         files_checked=len(analyses),
-        files_cached=sum(1 for a in analyses if a.cached),
     )
-    return result

@@ -17,12 +17,13 @@ import platform as _platform
 import sys
 import threading
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
 from ..core.cache import CACHE_SCHEMA_VERSION, config_fingerprint
 from ..core.config import ExperimentConfig
+from ..core.results import plain
 from .stream import ONLINE_SCHEMA_VERSION
 
 #: bump when the manifest layout changes incompatibly
@@ -67,7 +68,7 @@ class RunManifest:
     # -- serialisation ---------------------------------------------------
 
     def to_dict(self) -> dict:
-        return {"kind": "repro-manifest", **asdict(self)}
+        return {"kind": "repro-manifest", **plain(self)}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)

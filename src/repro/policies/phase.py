@@ -27,7 +27,7 @@ repeated config by fingerprint anyway.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -36,6 +36,7 @@ from ..core.cache import ResultCache
 from ..core.config import ExperimentConfig
 from ..core.metrics import mean_of_ratios
 from ..core.parallel import run_grid
+from ..core.results import plain
 
 #: bump when the payload layout or classification semantics change
 PHASE_SCHEMA_VERSION = 1
@@ -116,7 +117,7 @@ class PhaseDiagram:
             "waste_threshold": WASTE_THRESHOLD,
             "n_replications": self.n_replications,
             "base": self.base,
-            "cells": [asdict(c) for c in self.cells],
+            "cells": [plain(c) for c in self.cells],
             "n_helpful": len(self.helpful()),
             "n_harmful": len(self.harmful()),
         }

@@ -42,7 +42,7 @@ from typing import Any, Optional, Sequence, Union
 from ..contracts import declared_pure
 from ..core.cache import ResultCache
 from ..core.config import ExperimentConfig, config_from_dict
-from ..core.results import ExperimentResult
+from ..core.results import ExperimentResult, plain
 from ..validation import check_int, check_number
 
 #: layout version of results.json / the canonical grid payload
@@ -83,7 +83,7 @@ def canonical_grid_payload(
     for per_config in grids:
         rows = []
         for result in per_config:
-            d = dataclasses.asdict(result)
+            d = plain(result)
             for key in NONDETERMINISTIC_RESULT_FIELDS:
                 d.pop(key, None)
             rows.append(d)

@@ -243,23 +243,27 @@ class SweepService:
             journal.append({"event": "failed", "error": repr(exc)})
             self.store.write_status(job_id, "failed", error=repr(exc))
         else:
-            wall = time.perf_counter() - t0
+            t1 = time.perf_counter()
             self.store.write_results(
                 job_id, canonical_grid_payload(grids)
             )
+            # building + writing results.json, after wall_time_s stops
+            results_s = time.perf_counter() - t1
             build_manifest(
                 list(spec.configs),
                 spec.n_replications,
                 first_replication=spec.first_replication,
                 n_workers=spec.n_workers,
-                wall_time_s=wall,
+                wall_time_s=t1 - t0,
                 extra={
                     "job_id": job_id,
                     "executor": spec.executor,
                     "service": True,
+                    "results_s": results_s,
                 },
             ).write(jdir / "manifest.json")
-            journal.append({"event": "done", "total": orchestrator.total})
+            journal.append({"event": "done", "total": orchestrator.total,
+                            "results_s": results_s})
             self.store.write_status(
                 job_id, "done", executor=spec.executor,
                 total=orchestrator.total,

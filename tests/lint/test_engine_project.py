@@ -39,13 +39,6 @@ class TestReportDeterminism:
         assert first.findings  # non-trivial corpus
         assert render_json(first) == render_json(second)
 
-    def test_cold_vs_warm_cache_over_fixtures(self, tmp_path):
-        cache_dir = tmp_path / "cache"
-        cold = run_lint([FIXTURES], cache_dir=cache_dir)
-        warm = run_lint([FIXTURES], cache_dir=cache_dir)
-        assert warm.files_cached == warm.files_checked
-        assert render_json(cold) == render_json(warm)
-
 
 class TestChangedScoping:
     def test_only_changed_files_report(self, tmp_path):

@@ -94,6 +94,20 @@ class TestJobLifecycle:
         ]
         assert events[0] == "prepared" and events[-1] == "done"
 
+    def test_results_time_is_journalled_and_in_the_manifest(self, service):
+        """``results_s`` (building + writing results.json, which
+        ``wall_time_s`` excludes) lands in the ``done`` record and the
+        manifest."""
+        svc, client = service
+        job_id = client.submit(spec().to_dict())
+        assert client.wait(job_id, timeout=120.0)["state"] == "done"
+        jdir = svc.store.job_dir(job_id)
+        done = list(RunJournal(jdir / "journal.jsonl").entries())[-1]
+        manifest = json.loads((jdir / "manifest.json").read_text())
+        assert done["event"] == "done"
+        assert done["results_s"] == manifest["extra"]["results_s"]
+        assert done["results_s"] > 0.0
+
     def test_workqueue_job_with_http_worker(self, service):
         svc, client = service
         job_spec = spec(executor="workqueue", chunksize=1, lease_ttl_s=30.0)

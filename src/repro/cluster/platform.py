@@ -73,24 +73,15 @@ class Platform:
 
     # -- observability -----------------------------------------------------
 
-    def attach_tracer(self, tracer) -> None:
-        """Attach a lifecycle-event recorder to every scheduler.
+    def attach_observer(self, observer) -> None:
+        """Attach a lifecycle observer to every scheduler.
 
-        ``tracer`` is a :class:`~repro.obs.trace.TraceRecorder` (or any
-        object with its ``emit`` signature); ``None`` detaches.
+        ``observer`` is any object with the ``on(etype, sched,
+        request=None, detail=None)`` method of
+        :class:`~repro.obs.trace.TraceRecorder`; ``None`` detaches.
         """
         for sched in self.schedulers:
-            sched.tracer = tracer
-
-    def attach_auditor(self, auditor) -> None:
-        """Attach a runtime invariant auditor to every scheduler.
-
-        ``auditor`` is a :class:`~repro.sanitize.auditor.InvariantAuditor`
-        (or any object with its scheduler-hook signatures); ``None``
-        detaches.
-        """
-        for sched in self.schedulers:
-            sched.auditor = auditor
+            sched.observer = observer
 
     # -- outages -----------------------------------------------------------
 

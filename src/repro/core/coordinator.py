@@ -18,11 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import TYPE_CHECKING, Optional, Sequence
-
-if TYPE_CHECKING:  # typing-only: obs/sanitize import core at runtime
-    from ..obs.trace import TraceRecorder
-    from ..sanitize.auditor import InvariantAuditor
+from typing import Any, Optional, Sequence
 
 from ..cluster.platform import Platform
 from ..faults import FaultInjector
@@ -102,13 +98,16 @@ class Coordinator:
         and submissions rejected by a downed scheduler are retried or
         abandoned per its policy.  ``None`` (the default) keeps the
         perfect-world protocol bit-identical to the fault-free code.
-    tracer:
-        Optional :class:`~repro.obs.trace.TraceRecorder`.  When
-        attached, the coordinator emits the protocol-side lifecycle
-        events (``submit``, ``cancel_sent``, ``cancel_lost``,
-        ``winner_complete``); the schedulers emit the queue-side ones.
-        ``None`` (the default) records nothing and costs one attribute
-        check per event site.
+    observer:
+        Optional lifecycle observer (a
+        :class:`~repro.obs.trace.TraceRecorder` or an
+        :class:`~repro.sanitize.auditor.InvariantAuditor`).  The
+        coordinator reports the protocol-side events (``submit``,
+        ``cancel_sent``, ``cancel_lost``, ``winner_complete`` and the
+        check-only ``duplicate_start``) through ``observer.on``, passing
+        the scheduler the event concerns; the schedulers report the
+        queue-side ones.  ``None`` (the default) costs one ``is not
+        None`` check per site.
     policy:
         The :class:`~repro.policies.cancellation.CancellationPolicy`
         deciding *when* sibling cancellations are dispatched (a policy
@@ -125,8 +124,7 @@ class Coordinator:
         cancellation_latency: float = 0.0,
         remote_inflation: float = 0.0,
         fault_injector: Optional[FaultInjector] = None,
-        tracer: Optional[TraceRecorder] = None,
-        auditor: Optional[InvariantAuditor] = None,
+        observer: Optional[Any] = None,
         policy: CancellationPolicy | str = DEFAULT_CANCELLATION_POLICY,
     ) -> None:
         if cancellation_latency < 0:
@@ -142,15 +140,10 @@ class Coordinator:
         self.cancellation_latency = cancellation_latency
         self.remote_inflation = remote_inflation
         self.fault_injector = fault_injector
-        self.tracer = tracer
+        self.observer = observer
         if isinstance(policy, str):
             policy = get_cancellation_policy(policy)
         self.policy = policy
-        #: optional :class:`~repro.sanitize.auditor.InvariantAuditor`;
-        #: fed the protocol-side facts (lost cancellations, duplicate
-        #: starts) it needs to judge cancellation consistency.  ``None``
-        #: (the default) costs one attribute check per site.
-        self.auditor = auditor
         self.jobs: list[RedundantJob] = []
         #: requests that started despite a sibling winning first (late
         #: or lost cancellations); their node-seconds are pure waste
@@ -199,12 +192,11 @@ class Coordinator:
                 group=job,
                 name=f"job{job.job_id}@{target}",
             )
-            if self.tracer is not None:
-                self.tracer.emit(
-                    self.sim.now, "submit", target, req.request_id, job.job_id
-                )
+            sched = self.platform.scheduler_at(target)
+            if self.observer is not None:
+                self.observer.on("submit", sched, req)
             try:
-                self.platform.scheduler_at(target).submit(req)
+                sched.submit(req)
             except SchedulerDownError:
                 # A subset of targets being down must not sink the whole
                 # job: the remaining copies proceed, and this one is
@@ -237,8 +229,8 @@ class Coordinator:
             # completes (we cannot cancel running jobs), but it
             # contributes nothing to the job's metrics.
             self.duplicate_starts.append(request)
-            if self.auditor is not None:
-                self.auditor.on_duplicate_start(self, job, request)
+            if self.observer is not None:
+                self.observer.on("duplicate_start", request.cluster, request, self)
             return
         job.winner = request
         self.policy.on_winner_start(self, job)
@@ -261,7 +253,7 @@ class Coordinator:
                     continue
                 self.sim.after(
                     injector.draw_cancel_delay(),
-                    partial(self._cancel_one, job, req),
+                    partial(self._cancel_one, req),
                     EventPriority.CANCEL,
                 )
         elif self.cancellation_latency == 0.0:
@@ -287,22 +279,16 @@ class Coordinator:
         winner = job.winner
         if winner is None:  # pragma: no cover - defensive
             return
-        if self.tracer is not None:
-            self.tracer.emit(
-                self.sim.now, "winner_complete",
-                winner.cluster.cluster.index,
-                winner.request_id, job.job_id,
-            )
+        if self.observer is not None:
+            self.observer.on("winner_complete", winner.cluster, winner)
         self.dispatch_cancellations(job)
 
     def _cancel_losers(self, job: RedundantJob) -> None:
         for req in job.requests:
             if req is not job.winner:
-                self._cancel_one(job, req)
+                self._cancel_one(req)
 
-    def _cancel_one(
-        self, job: RedundantJob, request: Request, force: bool = False
-    ) -> None:
+    def _cancel_one(self, request: Request, force: bool = False) -> None:
         """Issue one sibling cancellation, subject to fault draws.
 
         ``force`` bypasses loss draws and downed daemons — reserved for
@@ -310,39 +296,23 @@ class Coordinator:
         """
         if request.state is not RequestState.PENDING:
             return  # already started (duplicate), dropped, or cancelled
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.emit(
-                self.sim.now, "cancel_sent",
-                request.cluster.cluster.index,
-                request.request_id, job.job_id,
-            )
+        observer = self.observer
+        if observer is not None:
+            observer.on("cancel_sent", request.cluster, request)
         injector = self.fault_injector
         if not force and injector is not None and injector.cancel_lost():
             # The qdel never arrives; the orphan stays queued and will
             # run to completion as pure waste if it ever starts.
             self.lost_cancellations += 1
-            if tracer is not None:
-                tracer.emit(
-                    self.sim.now, "cancel_lost",
-                    request.cluster.cluster.index,
-                    request.request_id, job.job_id,
-                )
-            if self.auditor is not None:
-                self.auditor.note_cancel_lost(request)
+            if observer is not None:
+                observer.on("cancel_lost", request.cluster, request)
             return
         try:
             request.cluster.cancel(request, force=force)
         except SchedulerDownError:
             self.lost_cancellations += 1
-            if tracer is not None:
-                tracer.emit(
-                    self.sim.now, "cancel_lost",
-                    request.cluster.cluster.index,
-                    request.request_id, job.job_id,
-                )
-            if self.auditor is not None:
-                self.auditor.note_cancel_lost(request)
+            if observer is not None:
+                observer.on("cancel_lost", request.cluster, request)
             return
         self._total_cancellations += 1
 
@@ -374,12 +344,11 @@ class Coordinator:
             return
         if job.winner is not None:
             return  # a sibling already started; don't add churn
-        if self.tracer is not None:
-            self.tracer.emit(
-                self.sim.now, "submit", target, request.request_id, job.job_id
-            )
+        sched = self.platform.scheduler_at(target)
+        if self.observer is not None:
+            self.observer.on("submit", sched, request)
         try:
-            self.platform.scheduler_at(target).submit(request)
+            sched.submit(request)
         except SchedulerDownError:
             # Back-to-back outage: route through the policy again.
             self.failed_submissions += 1
@@ -422,11 +391,8 @@ class Coordinator:
             return
         scheduler = lost.cluster
         fresh = lost.copy_spec()
-        if self.tracer is not None:
-            self.tracer.emit(
-                self.sim.now, "submit",
-                scheduler.cluster.index, fresh.request_id, job.job_id,
-            )
+        if self.observer is not None:
+            self.observer.on("submit", scheduler, fresh)
         try:
             scheduler.submit(fresh)
         except SchedulerDownError:
@@ -455,7 +421,7 @@ class Coordinator:
                 continue
             for req in job.requests:
                 if req is not job.winner and req.state is RequestState.PENDING:
-                    self._cancel_one(job, req, force=True)
+                    self._cancel_one(req, force=True)
 
     # -- accounting --------------------------------------------------------
 

@@ -18,14 +18,12 @@ from __future__ import annotations
 # generate/simulate/aggregate phase timings (wall_time_s metrics); no
 # host time ever reaches the simulated trajectory
 import time
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
 import numpy as np
 
 if TYPE_CHECKING:  # typing-only: obs/sanitize import core at runtime
     from ..obs.probes import ProbeSampler
-    from ..obs.trace import TraceRecorder
-    from ..sanitize.auditor import InvariantAuditor
 
 from ..cluster.platform import HETEROGENEOUS_NODE_CHOICES, Platform
 from ..contracts import declared_pure
@@ -236,8 +234,7 @@ def run_single(
     config: ExperimentConfig,
     replication: int = 0,
     check_invariants: bool = False,
-    tracer: Optional[TraceRecorder] = None,
-    auditor: Optional[InvariantAuditor] = None,
+    observer: Optional[Any] = None,
     online: bool = True,
     probe: "Optional[ProbeSampler]" = None,
 ) -> ExperimentResult:
@@ -246,17 +243,16 @@ def run_single(
     ``check_invariants`` additionally audits node accounting and the
     first-start-wins protocol after the run (used by tests).
 
-    ``tracer`` optionally attaches a lifecycle-event recorder (see
-    :class:`repro.obs.trace.TraceRecorder`) to every scheduler and the
-    coordinator.  The default ``None`` keeps tracing a strict no-op:
-    no recorder is allocated, no RNG draws are added, and the simulated
-    trajectory is bit-identical to an untraced run.
-
-    ``auditor`` optionally attaches a runtime invariant auditor (see
-    :class:`repro.sanitize.auditor.InvariantAuditor`) to the kernel,
-    every scheduler and the coordinator, and runs its end-of-run audit
-    after :meth:`~repro.core.coordinator.Coordinator.finalize`.  Same
-    strict-no-op discipline as ``tracer`` when ``None``.
+    ``observer`` optionally attaches one lifecycle observer to every
+    scheduler and the coordinator: a
+    :class:`repro.obs.trace.TraceRecorder`, or a
+    :class:`repro.sanitize.auditor.InvariantAuditor` (which records
+    into its own recorder and checks every transition).  An observer
+    with a ``final_check(platform, coordinator)`` method (the auditor)
+    also gets that end-of-run audit after
+    :meth:`~repro.core.coordinator.Coordinator.finalize`.  The default
+    ``None`` is a strict no-op: nothing is allocated, no RNG draws are
+    added, and the simulated trajectory is bit-identical either way.
 
     ``online`` (default on) summarises the finished run with
     :mod:`repro.obs.stream` — exact moments and quantiles of stretch,
@@ -278,11 +274,8 @@ def run_single(
     platform = Platform(
         sim, node_counts, config.algorithm, config.scheduler_kwargs
     )
-    if tracer is not None:
-        platform.attach_tracer(tracer)
-    if auditor is not None:
-        sim.auditor = auditor
-        platform.attach_auditor(auditor)
+    if observer is not None:
+        platform.attach_observer(observer)
     regime = _resolve_regime(config, node_counts)
     params = _resolve_workload_params(
         config, factory, replication, node_counts,
@@ -322,8 +315,7 @@ def run_single(
         cancellation_latency=config.cancellation_latency,
         remote_inflation=config.remote_inflation,
         fault_injector=injector,
-        tracer=tracer,
-        auditor=auditor,
+        observer=observer,
         policy=config.cancellation_policy,
     )
     if probe is not None:
@@ -349,8 +341,9 @@ def run_single(
     coordinator.finalize()
     t_simulated = time.perf_counter()
 
-    if auditor is not None:
-        auditor.final_check(platform, coordinator)
+    final_check = getattr(observer, "final_check", None)
+    if final_check is not None:
+        final_check(platform, coordinator)
     if check_invariants:
         platform.check_invariants()
         coordinator.check_invariants()

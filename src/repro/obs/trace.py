@@ -16,14 +16,17 @@ makes those orderings a first-class artifact.  Event taxonomy:
                           emitted for queue entries lost in a queue-dropping
                           outage, at the outage instant)
 ``complete``              a running request finished
+``winner_complete``       the job's winner finished (cancel-on-complete's
+                          deferred sweep starts here)
 ``outage_down``           a cluster's scheduler daemon went down
 ``outage_up``             it came back
 ========================  ====================================================
 
-Recording is **opt-in and zero-overhead when disabled**: every hook
-site guards on ``tracer is not None`` (one attribute load), no recorder
-object is allocated, no RNG stream is consumed, and results are
-bit-identical to an untraced run.
+Recording is **opt-in and zero-overhead when disabled**: the recorder
+is one implementation of the lifecycle ``observer`` hook, every hook
+site guards on ``observer is not None`` (one attribute load), no
+recorder object is allocated, no RNG stream is consumed, and results
+are bit-identical to an untraced run.
 
 Determinism: a trace is recorded per ``(config, replication)`` task —
 request ids are reset at task entry so they depend only on the task,
@@ -66,6 +69,11 @@ EVENT_TYPES = (
     "outage_up",
 )
 
+#: the recorded types, for :meth:`TraceRecorder.on`'s filter; observers
+#: may also receive check-only events (``pass``, ``backfill``,
+#: ``duplicate_start``) that a trace never holds
+_RECORDED = frozenset(EVENT_TYPES)
+
 #: canonical trace / manifest file names inside a recording directory
 TRACE_FILENAME = "trace.jsonl"
 MANIFEST_FILENAME = "manifest.json"
@@ -92,9 +100,9 @@ class TraceRecorder:
     """Collects lifecycle events for one simulated run.
 
     The recorder is a bare append sink — interpretation (JSONL, Chrome
-    export, summaries) happens after the run.  Hook sites hold a direct
-    reference and guard with ``if tracer is not None``, so a run
-    without a recorder pays one attribute check per lifecycle event and
+    export, summaries) happens after the run.  Hook sites hold it as
+    their ``observer`` and guard with ``if observer is not None``, so a
+    run without one pays one attribute check per lifecycle event and
     nothing else.
     """
 
@@ -103,16 +111,27 @@ class TraceRecorder:
     def __init__(self) -> None:
         self.events: list[tuple[float, str, int, int, int]] = []
 
-    def emit(
-        self,
-        time: float,
-        etype: str,
-        cluster: int,
-        request_id: int = -1,
-        job_id: int = -1,
-    ) -> None:
-        """Record one event at simulated ``time``."""
-        self.events.append((time, etype, cluster, request_id, job_id))
+    def on(self, etype: str, sched, request=None, detail=None) -> None:
+        """Record one lifecycle event of scheduler ``sched``, at its now.
+
+        The observer call shape: ``request`` is ``None`` for
+        cluster-level events (outages), and ``detail`` carries what only
+        the check-only events need.  Types outside :data:`EVENT_TYPES`
+        are ignored.
+        """
+        if etype not in _RECORDED:
+            return
+        if request is None:
+            event = (sched.sim.now, etype, sched.cluster.index, -1, -1)
+        else:
+            event = (
+                sched.sim.now,
+                etype,
+                sched.cluster.index,
+                request.request_id,
+                getattr(request.group, "job_id", -1),
+            )
+        self.events.append(event)
 
     def __len__(self) -> int:
         return len(self.events)
@@ -140,7 +159,7 @@ def run_single_traced(
     """
     reset_request_ids()
     recorder = TraceRecorder()
-    result = run_single(config, replication, tracer=recorder)
+    result = run_single(config, replication, observer=recorder)
     return TracedRun(result=result, events=recorder.events)
 
 

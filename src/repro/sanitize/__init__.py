@@ -7,10 +7,11 @@ package is the correctness tooling that lets the kernel, schedulers and
 coordinator be refactored aggressively without fear:
 
 * :mod:`repro.sanitize.auditor` — an opt-in, zero-overhead-when-off
-  runtime invariant auditor (the same hook discipline as the
-  :mod:`repro.obs` tracer) that checks node-capacity conservation,
-  backfill legality, FCFS order, cancellation consistency, monotone
-  event times and profile representation invariants per event;
+  runtime invariant auditor (a lifecycle ``observer``, like the
+  :mod:`repro.obs.trace` recorder) that checks node-capacity
+  conservation, backfill legality, FCFS order, cancellation consistency
+  and profile representation invariants after every transition (the
+  kernel itself enforces monotone, finite event times);
 * :mod:`repro.sanitize.oracle` — a differential oracle that runs the
   same seeded workload under FCFS/EASY/CBF and asserts cross-scheduler
   relations;

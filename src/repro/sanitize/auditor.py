@@ -1,16 +1,18 @@
 """Runtime invariant auditor: prove each run obeyed the rules.
 
-The auditor mirrors the :mod:`repro.obs` tracer's hook discipline: the
-kernel, every scheduler and the coordinator each hold an ``auditor``
-attribute that defaults to ``None``, and every hook site costs exactly
-one attribute check when no auditor is attached — results are
-bit-identical to an unaudited run and ``repro bench`` shows no
-measurable regression.  With an auditor armed, every state transition
-is independently re-derived and checked:
+The auditor is a lifecycle observer, like the :mod:`repro.obs.trace`
+recorder: every scheduler and the coordinator hold one ``observer``
+attribute that defaults to ``None``, and each hook site costs exactly
+one ``is not None`` check when nothing is attached — results are
+bit-identical to an unaudited run.  The auditor's :meth:`~InvariantAuditor.on`
+receives the recorded lifecycle events plus three check-only ones
+(``pass``, ``backfill``, ``duplicate_start``).  Monotone, finite event
+times are not the auditor's job: the kernel itself refuses any event
+earlier than its clock or with a NaN time, in every run.  With an
+auditor armed, every state transition is independently re-derived and
+checked:
 
 ========================  ==================================================
-``event-time``            the kernel never executes an event before the
-                          current clock (monotone, finite timestamps)
 ``capacity``              allocated + free == total on every cluster, and
                           the nodes held by the running set equal the
                           cluster's busy count, after every transition
@@ -41,9 +43,10 @@ is independently re-derived and checked:
 ========================  ==================================================
 
 Violations carry the offending simulated time, cluster/request/job ids
-and — when a :class:`~repro.obs.trace.TraceRecorder` is attached — the
-tail of the lifecycle trace leading up to the violation, so a report
-shows *what the simulation was doing* when the invariant broke.
+and the tail of the lifecycle trace leading up to the violation (the
+auditor records every event into its own
+:class:`~repro.obs.trace.TraceRecorder`), so a report shows *what the
+simulation was doing* when the invariant broke.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
-from ..obs.trace import format_event
+from ..obs.trace import TraceRecorder, format_event
 from ..sched.job import Request, RequestState
 from ..sched.profile import Profile, ProfileError
 
@@ -61,15 +64,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.coordinator import Coordinator
     from ..core.results import ExperimentResult
     from ..sched.base import Scheduler
-    from ..sim.engine import Simulator
-    from ..sim.events import Event
 
 #: absolute slack for floating-point time comparisons (seconds)
 TIME_EPS = 1e-6
 
 #: violation kinds the auditor can report, in rough lifecycle order
 VIOLATION_KINDS = (
-    "event-time",
     "capacity",
     "state",
     "fcfs-order",
@@ -102,7 +102,7 @@ class Violation:
     job_id: int = -1
     #: tail of the lifecycle trace leading up to the violation —
     #: ``(time, type, cluster, request, job)`` tuples, oldest first —
-    #: empty when no tracer was attached
+    #: empty when nothing was recorded yet
     trace_context: tuple = ()
 
     def describe(self) -> str:
@@ -128,7 +128,11 @@ class Violation:
 
 
 class InvariantAuditor:
-    """Per-event invariant checks over one simulated run.
+    """Per-transition invariant checks over one simulated run.
+
+    Attach it as the run's ``observer``.  Every event goes first into
+    :attr:`recorder`, whose last ``context_events`` entries ride along
+    with each violation, and then to the check registered for its type.
 
     Parameters
     ----------
@@ -137,10 +141,6 @@ class InvariantAuditor:
         violation — the debugging posture.  ``"collect"`` records every
         violation (up to ``max_violations``) and lets the run finish —
         the ``repro check`` reporting posture.
-    tracer:
-        Optional :class:`~repro.obs.trace.TraceRecorder` shared with the
-        run; the last ``context_events`` lifecycle events are attached
-        to every violation.
     context_events:
         How many trailing trace events each violation captures.
     cbf_profile_every:
@@ -152,7 +152,6 @@ class InvariantAuditor:
     def __init__(
         self,
         mode: str = "raise",
-        tracer=None,
         context_events: int = 8,
         max_violations: int = 100,
         cbf_profile_every: int = 4,
@@ -164,7 +163,8 @@ class InvariantAuditor:
                 f"cbf_profile_every must be >= 1, got {cbf_profile_every}"
             )
         self.mode = mode
-        self.tracer = tracer
+        #: every recorded lifecycle event of the run, for violation context
+        self.recorder = TraceRecorder()
         self.context_events = int(context_events)
         self.max_violations = int(max_violations)
         self.cbf_profile_every = int(cbf_profile_every)
@@ -185,6 +185,27 @@ class InvariantAuditor:
         #: suspended and overdue reservations are re-placed on recovery),
         #: so the prediction check is waived for these clusters
         self._outage_scheds: set[int] = set()
+        self._checks = {
+            "queue": self._after_submit,
+            "start": self._after_start,
+            "cancel_applied": self._after_cancel,
+            "complete": self._after_finish,
+            "pass": self._after_pass,
+            "backfill": self._check_easy_backfill,
+            "outage_down": self._note_outage,
+            "cancel_lost": self._note_cancel_lost,
+            "duplicate_start": self._check_duplicate_start,
+        }
+
+    def on(
+        self, etype: str, sched: "Scheduler",
+        request: Optional[Request] = None, detail=None,
+    ) -> None:
+        """The observer hook: record the event, then check it."""
+        self.recorder.on(etype, sched, request, detail)
+        check = self._checks.get(etype)
+        if check is not None:
+            check(sched, request, detail)
 
     # -- reporting ---------------------------------------------------------
 
@@ -204,9 +225,7 @@ class InvariantAuditor:
         cluster: int = -1,
         request: Optional[Request] = None,
     ) -> None:
-        context: tuple = ()
-        if self.tracer is not None and self.tracer.events:
-            context = tuple(self.tracer.events[-self.context_events:])
+        context = tuple(self.recorder.events[-self.context_events:])
         violation = Violation(
             time=time,
             kind=kind,
@@ -240,18 +259,6 @@ class InvariantAuditor:
         if not condition:
             self._violate(time, kind, message, cluster, request)
 
-    # -- kernel hook -------------------------------------------------------
-
-    def on_event(self, sim: "Simulator", event: "Event") -> None:
-        """Called by the kernel for every event about to execute."""
-        self._check(
-            event.time >= sim.now - TIME_EPS and event.time == event.time,
-            event.time,
-            "event-time",
-            f"event at t={event.time} executes before the clock "
-            f"(now={sim.now}) or carries a NaN timestamp",
-        )
-
     # -- scheduler hooks ---------------------------------------------------
 
     def _check_capacity(self, sched: "Scheduler") -> None:
@@ -283,7 +290,9 @@ class InvariantAuditor:
             cluster=cluster.index,
         )
 
-    def after_submit(self, sched: "Scheduler", request: Request) -> None:
+    def _after_submit(
+        self, sched: "Scheduler", request: Request, detail=None
+    ) -> None:
         now = sched.sim.now
         idx = sched.cluster.index
         self._check(
@@ -307,7 +316,9 @@ class InvariantAuditor:
                 request=request,
             )
 
-    def after_start(self, sched: "Scheduler", request: Request) -> None:
+    def _after_start(
+        self, sched: "Scheduler", request: Request, detail=None
+    ) -> None:
         now = sched.sim.now
         idx = sched.cluster.index
         self._check_capacity(sched)
@@ -355,7 +366,9 @@ class InvariantAuditor:
                     request=request,
                 )
 
-    def after_cancel(self, sched: "Scheduler", request: Request) -> None:
+    def _after_cancel(
+        self, sched: "Scheduler", request: Request, detail=None
+    ) -> None:
         now = sched.sim.now
         idx = sched.cluster.index
         self._check(
@@ -379,7 +392,9 @@ class InvariantAuditor:
                 request=request,
             )
 
-    def after_finish(self, sched: "Scheduler", request: Request) -> None:
+    def _after_finish(
+        self, sched: "Scheduler", request: Request, detail=None
+    ) -> None:
         now = sched.sim.now
         self._check_capacity(sched)
         self._check(
@@ -396,26 +411,28 @@ class InvariantAuditor:
             request=request,
         )
 
-    def after_pass(self, sched: "Scheduler") -> None:
+    def _after_pass(self, sched: "Scheduler", request=None, detail=None) -> None:
         self._check_capacity(sched)
         if sched.algorithm == "cbf":
             self._audit_cbf_pass(sched)
 
     # -- EASY backfill legality --------------------------------------------
 
-    def check_easy_backfill(
-        self, sched: "Scheduler", head: Request, request: Request,
-        shadow_before: float,
+    def _check_easy_backfill(
+        self, sched: "Scheduler", request: Request,
+        detail: "tuple[Request, float]",
     ) -> None:
         """A backfill must never delay the head's guaranteed start.
 
-        Called by the EASY pass right after a backfilled start, with the
-        shadow time computed *before* the start; the auditor recomputes
-        the shadow from the post-start running set and requires it not
-        to have moved later.  ``head`` may have been cancelled
-        reentrantly by the start's sibling-cancellation callbacks, in
-        which case there is no reservation left to protect.
+        Reported by the EASY pass right after a backfilled start, with
+        ``detail = (head, shadow_before)``: the shadow time computed
+        *before* the start.  The auditor recomputes the shadow from the
+        post-start running set and requires it not to have moved later.
+        ``head`` may have been cancelled reentrantly by the start's
+        sibling-cancellation callbacks, in which case there is no
+        reservation left to protect.
         """
+        head, shadow_before = detail
         if not head.is_pending:
             return
         now = sched.sim.now
@@ -519,8 +536,8 @@ class InvariantAuditor:
                 )
                 return
 
-    def note_outage(self, sched: "Scheduler") -> None:
-        """Record that ``sched``'s daemon went down (called by go_down).
+    def _note_outage(self, sched: "Scheduler", request=None, detail=None) -> None:
+        """Record that ``sched``'s daemon went down (its ``outage_down``).
 
         A downed daemon suspends scheduling passes, so reservations can
         go overdue and at-submit start guarantees become unkeepable; the
@@ -530,18 +547,21 @@ class InvariantAuditor:
 
     # -- coordinator hooks -------------------------------------------------
 
-    def note_cancel_lost(self, request: Request) -> None:
+    def _note_cancel_lost(
+        self, sched: "Scheduler", request: Request, detail=None
+    ) -> None:
         """Record that ``request``'s sibling cancellation was lost.
 
         Lost copies are the *explicitly accounted* exception to the
         one-winner rule: they may start beside the winner later, and
-        :meth:`on_duplicate_start` treats them as explained.
+        :meth:`_check_duplicate_start` treats them as explained.
         """
         self._lost_cancel_ids.add(request.request_id)
 
-    def on_duplicate_start(
-        self, coordinator: "Coordinator", job, request: Request
+    def _check_duplicate_start(
+        self, sched: "Scheduler", request: Request, coordinator: "Coordinator"
     ) -> None:
+        job = request.group
         now = coordinator.sim.now
         injector = coordinator.fault_injector
         explained = (
@@ -663,7 +683,7 @@ def run_single_audited(
     mode: str = "collect",
     cbf_profile_every: int = 4,
 ) -> "tuple[ExperimentResult | None, InvariantAuditor]":
-    """Run one replication with the auditor (and a tracer for context).
+    """Run one replication with the auditor as its observer.
 
     Returns ``(result, auditor)``; in ``collect`` mode the run always
     finishes and ``auditor.violations`` holds what broke (empty = the
@@ -672,13 +692,9 @@ def run_single_audited(
     ``(config, replication)``.
     """
     from ..core.experiment import run_single
-    from ..obs.trace import TraceRecorder
     from ..sched.job import reset_request_ids
 
     reset_request_ids()
-    tracer = TraceRecorder()
-    auditor = InvariantAuditor(
-        mode=mode, tracer=tracer, cbf_profile_every=cbf_profile_every
-    )
-    result = run_single(config, replication, tracer=tracer, auditor=auditor)
+    auditor = InvariantAuditor(mode=mode, cbf_profile_every=cbf_profile_every)
+    result = run_single(config, replication, observer=auditor)
     return result, auditor

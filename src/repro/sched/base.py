@@ -13,16 +13,13 @@ Each scheduler manages a single queue with no request priorities
   i.e. after all cancellations/finishes/submissions at that instant;
 * start notification callbacks (used by the redundancy coordinator to
   cancel sibling requests) and per-queue statistics;
-* optional lifecycle tracing: when a
-  :class:`~repro.obs.trace.TraceRecorder` is attached (``tracer``
-  attribute), every queue/start/cancel/complete/outage transition is
-  emitted as a typed event.  With no recorder attached (the default)
-  each hook site costs one attribute check and nothing else;
-* optional runtime auditing: an attached
-  :class:`~repro.sanitize.auditor.InvariantAuditor` (``auditor``
-  attribute) re-derives and checks capacity, ordering and reservation
-  invariants after every transition, under the same
-  zero-overhead-when-off discipline.
+* one optional lifecycle observer (``observer`` attribute, e.g. a
+  :class:`~repro.obs.trace.TraceRecorder` or an
+  :class:`~repro.sanitize.auditor.InvariantAuditor`): every
+  queue/start/cancel/complete/outage transition, and the end of every
+  scheduling pass, is reported as ``observer.on(etype, self, request,
+  detail)`` after the subclass hook has run.  With no observer (the
+  default) each site costs one ``is not None`` check and nothing else.
 
 Performance note: a scheduling pass runs after most events, so its
 fixed cost matters more than its per-slot cost (on the benchmark a pass
@@ -137,13 +134,9 @@ class Scheduler(abc.ABC):
         self.stats = QueueStats()
         #: scheduler daemon availability (see :meth:`go_down`)
         self.down = False
-        #: optional lifecycle-event recorder (``None`` = tracing off;
-        #: see :mod:`repro.obs.trace`)
-        self.tracer = None
-        #: optional invariant auditor (``None`` = auditing off; see
-        #: :mod:`repro.sanitize.auditor`) — same zero-overhead hook
-        #: discipline as ``tracer``
-        self.auditor = None
+        #: optional lifecycle observer (``None`` = off); see the module
+        #: docstring
+        self.observer = None
         self._start_callbacks: list[StartCallback] = []
         self._pass_pending = False
         self._pending_count = 0
@@ -199,21 +192,6 @@ class Scheduler(abc.ABC):
         """Register ``cb(request, time)`` invoked whenever a request starts."""
         self._start_callbacks.append(cb)
 
-    # -- tracing ---------------------------------------------------------
-
-    def _emit(self, etype: str, request: "Request | None" = None) -> None:
-        """Record one lifecycle event (callers have checked ``tracer``)."""
-        if request is None:
-            self.tracer.emit(self.sim.now, etype, self.cluster.index)
-        else:
-            self.tracer.emit(
-                self.sim.now,
-                etype,
-                self.cluster.index,
-                request.request_id,
-                getattr(request.group, "job_id", -1),
-            )
-
     # -- public API ------------------------------------------------------
 
     @property
@@ -263,12 +241,10 @@ class Scheduler(abc.ABC):
         self.stats.submitted += 1
         if self._pending_count > self.stats.max_queue_length:
             self.stats.max_queue_length = self._pending_count
-        if self.tracer is not None:
-            self._emit("queue", request)
         if self._has_on_submit:
             self._on_submit(request)
-        if self.auditor is not None:
-            self.auditor.after_submit(self, request)
+        if self.observer is not None:
+            self.observer.on("queue", self, request)
         blk = self._block
         if blk is None:
             self._request_pass()
@@ -315,12 +291,10 @@ class Scheduler(abc.ABC):
         self._dequeue(request)
         self.stats.cancelled += 1
         self._maybe_compact()
-        if self.tracer is not None:
-            self._emit("cancel_applied", request)
         if self._has_on_cancel:
             self._on_cancel(request)
-        if self.auditor is not None:
-            self.auditor.after_cancel(self, request)
+        if self.observer is not None:
+            self.observer.on("cancel_applied", self, request)
         blk = self._block
         if blk is None:
             self._request_pass()
@@ -349,10 +323,9 @@ class Scheduler(abc.ABC):
             raise SchedulerError(f"{self.name}: scheduler is already down")
         self.down = True
         self._block = None
-        if self.tracer is not None:
-            self._emit("outage_down")
-        if self.auditor is not None:
-            self.auditor.note_outage(self)
+        observer = self.observer
+        if observer is not None:
+            observer.on("outage_down", self)
         dropped: list[Request] = []
         if drop_queue:
             for request in self.queue:
@@ -360,13 +333,11 @@ class Scheduler(abc.ABC):
                     request.state = RequestState.CANCELLED
                     request.cancelled_at = self.sim.now
                     dropped.append(request)
-                    if self.tracer is not None:
-                        self._emit("cancel_applied", request)
                     # Route through the cancel hook so subclasses release
                     # per-request state (CBF reservations/profile windows).
                     self._on_cancel(request)
-                    if self.auditor is not None:
-                        self.auditor.after_cancel(self, request)
+                    if observer is not None:
+                        observer.on("cancel_applied", self, request)
             self.queue = []
             self._head = 0
             self._pending_count = 0
@@ -380,8 +351,8 @@ class Scheduler(abc.ABC):
             raise SchedulerError(f"{self.name}: scheduler is not down")
         self.down = False
         self._block = None
-        if self.tracer is not None:
-            self._emit("outage_up")
+        if self.observer is not None:
+            self.observer.on("outage_up", self)
         self._request_pass()
 
     # -- subclass hooks ----------------------------------------------------
@@ -525,8 +496,8 @@ class Scheduler(abc.ABC):
             self._schedule_pass()
         finally:
             self._in_pass = False
-        if self.auditor is not None:
-            self.auditor.after_pass(self)
+        if self.observer is not None:
+            self.observer.on("pass", self)
 
     def _start(self, request: Request) -> None:
         """Allocate nodes and begin executing ``request`` now.
@@ -546,10 +517,8 @@ class Scheduler(abc.ABC):
         self.running.append(request)
         self._releases_sorted = None
         self.stats.started += 1
-        if self.tracer is not None:
-            self._emit("start", request)
-        if self.auditor is not None:
-            self.auditor.after_start(self, request)
+        if self.observer is not None:
+            self.observer.on("start", self, request)
         self.sim.at(
             now + request.runtime,
             partial(self._finish, request),
@@ -573,12 +542,10 @@ class Scheduler(abc.ABC):
         self._block = None  # free nodes and the release schedule moved
         self._releases_sorted = None
         self.stats.completed += 1
-        if self.tracer is not None:
-            self._emit("complete", request)
         if self._has_on_finish:
             self._on_finish(request)
-        if self.auditor is not None:
-            self.auditor.after_finish(self, request)
+        if self.observer is not None:
+            self.observer.on("complete", self, request)
         self._request_pass()
 
     # -- invariants (exercised heavily by tests) -----------------------------

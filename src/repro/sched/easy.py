@@ -101,10 +101,10 @@ class EASYScheduler(Scheduler):
                     req = queue[i]
                     self._start(req)
                     self.stats.backfilled += 1
-                    if self.auditor is not None:
+                    if self.observer is not None:
                         # Legality: recomputed from the post-start state,
                         # the head's shadow time must not have moved later.
-                        self.auditor.check_easy_backfill(self, head, req, shadow)
+                        self.observer.on("backfill", self, req, (head, shadow))
                     continue
             self._block = (free, shadow, extra, head)
             return

@@ -65,6 +65,8 @@ def _json_default(obj: Any) -> Any:
         return float(obj)
     if isinstance(obj, np.ndarray):
         return obj.tolist()
+    if isinstance(obj, np.bool_):
+        return bool(obj)
     raise TypeError(f"not JSON-serialisable: {type(obj).__name__}")
 
 

@@ -100,10 +100,6 @@ class Simulator:
         self._seq: int = 0
         self._running: bool = False
         self._executed: int = 0
-        #: optional invariant auditor (``None`` = auditing off; see
-        #: :mod:`repro.sanitize.auditor`).  With no auditor attached the
-        #: event loop pays one attribute load per event and nothing else.
-        self.auditor = None
 
     # -- clock ----------------------------------------------------------
 
@@ -186,8 +182,8 @@ class Simulator:
         ev = self._queue.pop()
         if ev is None:
             return False
-        if self.auditor is not None:
-            self.auditor.on_event(self, ev)
+        if not (ev.time >= self.now):
+            self._reject(ev)
         self.now = ev.time
         self._executed += 1
         ev.callback()
@@ -213,8 +209,8 @@ class Simulator:
                     ev = pop()
                     if ev is None:
                         return
-                    if self.auditor is not None:
-                        self.auditor.on_event(self, ev)
+                    if not (ev.time >= self.now):
+                        self._reject(ev)
                     self.now = ev.time
                     self._executed += 1
                     ev.callback()
@@ -230,8 +226,8 @@ class Simulator:
                     queue.push(ev)
                     self.now = max(self.now, until)
                     return
-                if self.auditor is not None:
-                    self.auditor.on_event(self, ev)
+                if not (ev.time >= self.now):
+                    self._reject(ev)
                 self.now = ev.time
                 self._executed += 1
                 ev.callback()
@@ -240,6 +236,17 @@ class Simulator:
                 self.now = max(self.now, until)
         finally:
             self._running = False
+
+    def _reject(self, ev: Event) -> None:
+        """Refuse a popped event that would move the clock back.
+
+        :meth:`at` admits no past or NaN time, so only a faulty event
+        queue can hand one back; ``not (t >= now)`` catches NaN too.
+        """
+        raise SimulationError(
+            f"event queue returned an event at t={ev.time} before "
+            f"now={self.now} (or a NaN time)"
+        )
 
     def drain(self) -> None:
         """Discard all pending events without executing them."""

@@ -107,31 +107,6 @@ class TestExtraction:
         (site,) = cls.unguarded_sites
         assert (site.method, site.attr, site.write) == ("get", "_v", False)
 
-    def test_facts_roundtrip_through_dict(self, tmp_path):
-        facts = facts_for(
-            tmp_path,
-            "import threading\n"
-            "import time\n"
-            "class Box:\n"
-            "    def __init__(self):\n"
-            "        self._lock = threading.Lock()\n"
-            "        self._v = 0\n"
-            "    def set(self, v):\n"
-            "        with self._lock:\n"
-            "            self._v = v\n"
-            "def f():\n"
-            "    return time.time()\n",
-        )
-        rebuilt = ModuleFacts.from_dict(facts.to_dict())
-        assert rebuilt is not None
-        assert rebuilt.to_dict() == facts.to_dict()
-
-    def test_schema_mismatch_returns_none(self, tmp_path):
-        facts = facts_for(tmp_path, "def f():\n    return 1\n")
-        d = facts.to_dict()
-        d["schema"] = -1
-        assert ModuleFacts.from_dict(d) is None
-
 
 class TestPropagation:
     def _graph(self, tmp_path, source, name="repro/core/mod.py"):

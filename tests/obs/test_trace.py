@@ -30,12 +30,22 @@ def small_config(**overrides):
 
 
 class TestRecorder:
-    def test_emit_appends_tuples(self):
+    def test_on_appends_tuples(self):
+        from repro.cluster.platform import Platform
+        from repro.sim.engine import Simulator
+
+        from ..conftest import make_request
+
+        sim = Simulator()
+        platform = Platform(sim, [8, 8], algorithm="easy")
+        request = make_request(nodes=2)
         rec = TraceRecorder()
-        rec.emit(1.5, "submit", 0, 7, 3)
-        rec.emit(2.0, "outage_down", 1)
+        sim.at(1.5, lambda: rec.on("submit", platform.schedulers[0], request))
+        sim.at(2.0, lambda: rec.on("outage_down", platform.schedulers[1]))
+        sim.at(2.5, lambda: rec.on("pass", platform.schedulers[1]))
+        sim.run()
         assert rec.events == [
-            (1.5, "submit", 0, 7, 3),
+            (1.5, "submit", 0, request.request_id, -1),
             (2.0, "outage_down", 1, -1, -1),
         ]
         assert len(rec) == 2
@@ -76,12 +86,12 @@ class TestTracedRun:
         assert plain.total_cancellations == traced.total_cancellations
 
     def test_untraced_run_attaches_no_recorder(self):
-        """run_single with the default tracer leaves every hook dark."""
+        """A platform starts with no observer on any scheduler."""
         from repro.cluster.platform import Platform
         from repro.sim.engine import Simulator
 
         platform = Platform(Simulator(), [8], algorithm="easy")
-        assert all(s.tracer is None for s in platform.schedulers)
+        assert all(s.observer is None for s in platform.schedulers)
 
     def test_outage_events_recorded(self):
         from repro.faults import FaultConfig

@@ -11,7 +11,6 @@ import pytest
 from repro.cluster.cluster import Cluster
 from repro.core.config import ExperimentConfig
 from repro.faults import FaultConfig
-from repro.obs.trace import TraceRecorder
 from repro.sanitize import AuditError, InvariantAuditor, run_single_audited
 from repro.sanitize.auditor import VIOLATION_KINDS, Violation
 from repro.sched import CBFScheduler
@@ -87,15 +86,10 @@ class InjectedScenario:
 
     def __init__(self, mode: str) -> None:
         self.sim = Simulator()
-        self.tracer = TraceRecorder()
-        self.auditor = InvariantAuditor(
-            mode=mode, tracer=self.tracer, cbf_profile_every=1
-        )
-        self.sim.auditor = self.auditor
+        self.auditor = InvariantAuditor(mode=mode, cbf_profile_every=1)
         cluster = Cluster(0, 4)
         self.cbf = CBFScheduler(self.sim, cluster)
-        self.cbf.tracer = self.tracer
-        self.cbf.auditor = self.auditor
+        self.cbf.observer = self.auditor
         # a holds the whole cluster over [0, 10); b is reserved behind it.
         self.cbf.submit(make_request(nodes=4, runtime=10.0))
         self.cbf.submit(make_request(nodes=2, runtime=10.0))

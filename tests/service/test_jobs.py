@@ -4,6 +4,7 @@ import dataclasses
 import json
 import threading
 
+import numpy as np
 import pytest
 
 from repro.core.config import ExperimentConfig
@@ -59,6 +60,18 @@ class TestCanonicalPayload:
         # ... and is valid single-line JSON.
         assert "\n" not in canonical_grid_json([[result]])
         json.loads(canonical_grid_json([[result]]))
+
+    def test_numpy_bool_encodes_as_python_bool(self, result):
+        job = result.jobs[0]
+        jobs = list(result.jobs)
+        jobs[0] = dataclasses.replace(job, uses_redundancy=np.bool_(True))
+        numpy_bool = dataclasses.replace(result, jobs=jobs)
+        jobs = list(result.jobs)
+        jobs[0] = dataclasses.replace(job, uses_redundancy=True)
+        plain_bool = dataclasses.replace(result, jobs=jobs)
+        assert canonical_grid_json([[numpy_bool]]) == canonical_grid_json(
+            [[plain_bool]]
+        )
 
 
 class TestChunkCodec:

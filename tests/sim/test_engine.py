@@ -5,7 +5,7 @@ import math
 import pytest
 
 from repro.sim.engine import SimulationError, Simulator
-from repro.sim.events import EventPriority
+from repro.sim.events import Event, EventPriority
 
 
 class TestClock:
@@ -267,3 +267,58 @@ class TestLazyCancellation:
         sim.drain()
         assert sim._tombstones == 0
         assert sim.pending_events == 0
+
+
+class _ReplayQueue:
+    """A faulty event queue: hands events back in list order, unsorted."""
+
+    tombstones = 0
+    compactions = 0
+
+    def __init__(self, times):
+        self._events = [
+            Event(time=t, priority=EventPriority.CONTROL, seq=i,
+                  callback=lambda: None)
+            for i, t in enumerate(times)
+        ]
+
+    def __len__(self):
+        return len(self._events)
+
+    def push(self, event):
+        self._events.insert(0, event)
+
+    def pop(self):
+        return self._events.pop(0) if self._events else None
+
+
+class TestKernelRejectsBackwardEvents:
+    """The kernel refuses an event earlier than its clock, or at NaN.
+
+    ``at`` never admits one, so only a broken queue can hand it back;
+    the check is always on, not left to an optional auditor.
+    """
+
+    @pytest.mark.parametrize("bad", [1.0, math.nan])
+    def test_step(self, bad):
+        sim = Simulator(queue=_ReplayQueue([5.0, bad]))
+        assert sim.step()
+        assert sim.now == 5.0
+        with pytest.raises(SimulationError, match="before now=5.0"):
+            sim.step()
+
+    @pytest.mark.parametrize("bad", [1.0, math.nan])
+    def test_unbounded_run(self, bad):
+        sim = Simulator(queue=_ReplayQueue([5.0, bad, 6.0]))
+        with pytest.raises(SimulationError, match="before now=5.0"):
+            sim.run()
+        assert sim.now == 5.0
+        assert sim.events_executed == 1
+
+    @pytest.mark.parametrize("bad", [1.0, math.nan])
+    def test_bounded_run(self, bad):
+        sim = Simulator(queue=_ReplayQueue([5.0, bad, 6.0]))
+        with pytest.raises(SimulationError, match="before now=5.0"):
+            sim.run(until=10.0)
+        assert sim.now == 5.0
+        assert sim.events_executed == 1

@@ -95,9 +95,3 @@ def results_to_csv(results: Iterable[ExperimentResult], path: PathLike) -> int:
                 )
                 count += 1
     return count
-
-
-def read_results_csv(path: PathLike) -> list[dict]:
-    """Read a ``results_to_csv`` file back as dicts (round-trip helper)."""
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        return list(csv.DictReader(fh))

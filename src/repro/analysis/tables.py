@@ -64,15 +64,6 @@ class Table:
         lines.append(rule)
         return "\n".join(lines)
 
-    def to_markdown(self) -> str:
-        header = "| " + " | ".join([""] + list(self.columns)) + " |"
-        sep = "|" + "---|" * (len(self.columns) + 1)
-        lines = [f"**{self.title}**", "", header, sep]
-        for label, values in self.rows:
-            cells = [label] + [format_cell(v, self.precision) for v in values]
-            lines.append("| " + " | ".join(cells) + " |")
-        return "\n".join(lines)
-
     def column(self, name: str) -> list[Cell]:
         """Values of one column, top to bottom."""
         idx = list(self.columns).index(name)

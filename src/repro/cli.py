@@ -71,6 +71,29 @@ def _scheme_arg(name: str) -> str:
     return name
 
 
+def _add_grid_flags(p: argparse.ArgumentParser, default_scheme: str,
+                    schemes_help: str, workers_help: str) -> None:
+    """Add the flags that define a sweep grid (see :func:`_grid_configs`)."""
+    p.add_argument("--schemes", nargs="+", type=_scheme_arg,
+                   default=[default_scheme], metavar="SCHEME",
+                   help=schemes_help)
+    p.add_argument("--replications", type=int, default=1,
+                   help="replications per scheme (default 1)")
+    p.add_argument("--workers", type=int, default=1, help=workers_help)
+    p.add_argument("--clusters", type=int, default=5,
+                   help="clusters in the platform (default 5)")
+    p.add_argument("--nodes", type=int, default=32,
+                   help="nodes per cluster (default 32)")
+    p.add_argument("--duration", type=float, default=900.0,
+                   help="submission window in seconds (default 900)")
+    p.add_argument("--load", type=float, default=2.0,
+                   help="offered load rho (default 2.0)")
+    p.add_argument("--algorithm", default="easy",
+                   help="scheduler algorithm (default easy)")
+    p.add_argument("--seed", type=int, default=20060619,
+                   help="master seed (default 20060619)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -231,25 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     rec.add_argument("--out", required=True, metavar="DIR",
                      help="output directory for trace.jsonl + manifest.json")
-    rec.add_argument("--schemes", nargs="+", type=_scheme_arg,
-                     default=["ALL"], metavar="SCHEME",
-                     help="schemes to trace (default: ALL)")
-    rec.add_argument("--replications", type=int, default=1,
-                     help="replications per scheme (default 1)")
-    rec.add_argument("--workers", type=int, default=1,
-                     help="worker processes (traces stay byte-identical)")
-    rec.add_argument("--clusters", type=int, default=5,
-                     help="clusters in the platform (default 5)")
-    rec.add_argument("--nodes", type=int, default=32,
-                     help="nodes per cluster (default 32)")
-    rec.add_argument("--duration", type=float, default=900.0,
-                     help="submission window in seconds (default 900)")
-    rec.add_argument("--load", type=float, default=2.0,
-                     help="offered load rho (default 2.0)")
-    rec.add_argument("--algorithm", default="easy",
-                     help="scheduler algorithm (default easy)")
-    rec.add_argument("--seed", type=int, default=20060619,
-                     help="master seed (default 20060619)")
+    _add_grid_flags(rec, "ALL", "schemes to trace (default: ALL)",
+                    "worker processes (traces stay byte-identical)")
 
     summ = tsub.add_parser("summary", help="aggregate view of a trace")
     summ.add_argument("trace", metavar="TRACE", help="path to trace.jsonl")
@@ -293,28 +299,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     prec.add_argument("--out", required=True, metavar="DIR",
                       help="output directory for probes.jsonl + manifest.json")
-    prec.add_argument("--schemes", nargs="+", type=_scheme_arg,
-                      default=["ALL"], metavar="SCHEME",
-                      help="schemes to probe (default: ALL)")
-    prec.add_argument("--replications", type=int, default=1,
-                      help="replications per scheme (default 1)")
-    prec.add_argument("--workers", type=int, default=1,
-                      help="worker processes (probes stay byte-identical)")
+    _add_grid_flags(prec, "ALL", "schemes to probe (default: ALL)",
+                    "worker processes (probes stay byte-identical)")
     prec.add_argument("--cadence", type=float, default=DEFAULT_PROBE_CADENCE,
                       help="sim-seconds between samples "
                       f"(default {DEFAULT_PROBE_CADENCE:g})")
-    prec.add_argument("--clusters", type=int, default=5,
-                      help="clusters in the platform (default 5)")
-    prec.add_argument("--nodes", type=int, default=32,
-                      help="nodes per cluster (default 32)")
-    prec.add_argument("--duration", type=float, default=900.0,
-                      help="submission window in seconds (default 900)")
-    prec.add_argument("--load", type=float, default=2.0,
-                      help="offered load rho (default 2.0)")
-    prec.add_argument("--algorithm", default="easy",
-                      help="scheduler algorithm (default easy)")
-    prec.add_argument("--seed", type=int, default=20060619,
-                      help="master seed (default 20060619)")
 
     psum = psub.add_parser("summary", help="aggregate view of a probe series")
     psum.add_argument("probes", metavar="PROBES", help="path to probes.jsonl")
@@ -396,30 +385,13 @@ def build_parser() -> argparse.ArgumentParser:
     jsubmit.add_argument("--spec", default=None, metavar="PATH",
                          help="JobSpec JSON file ('-' for stdin); overrides "
                          "the config flags below")
-    jsubmit.add_argument("--schemes", nargs="+", type=_scheme_arg,
-                         default=["R2"], metavar="SCHEME",
-                         help="one config per scheme (default: R2)")
-    jsubmit.add_argument("--replications", type=int, default=1,
-                         help="replications per config (default 1)")
-    jsubmit.add_argument("--clusters", type=int, default=5,
-                         help="clusters in the platform (default 5)")
-    jsubmit.add_argument("--nodes", type=int, default=32,
-                         help="nodes per cluster (default 32)")
-    jsubmit.add_argument("--duration", type=float, default=900.0,
-                         help="submission window in seconds (default 900)")
-    jsubmit.add_argument("--load", type=float, default=2.0,
-                         help="offered load rho (default 2.0)")
-    jsubmit.add_argument("--algorithm", default="easy",
-                         help="scheduler algorithm (default easy)")
-    jsubmit.add_argument("--seed", type=int, default=20060619,
-                         help="master seed (default 20060619)")
+    _add_grid_flags(jsubmit, "R2", "one config per scheme (default: R2)",
+                    "pool executor width (default 1)")
     jsubmit.add_argument("--executor",
                          choices=("inprocess", "pool", "workqueue"),
                          default="inprocess",
                          help="how the server runs the grid (default "
                          "inprocess; workqueue needs `repro worker`s)")
-    jsubmit.add_argument("--workers", type=int, default=1,
-                         help="pool executor width (default 1)")
     jsubmit.add_argument("--chunksize", type=int, default=None,
                          help="tasks per chunk (default: auto)")
     jsubmit.add_argument("--lease-ttl", type=float, default=30.0,
@@ -849,65 +821,91 @@ def cmd_check(
     return 0 if report.ok else 1
 
 
+def _grid_configs(args: argparse.Namespace) -> list:
+    """One drained config per ``--schemes`` entry, from the grid flags.
+
+    Raises ``ValueError`` naming the bad flag or config field, which
+    every caller answers with one ERROR line and exit 2.
+    """
+    from .core.config import ExperimentConfig
+
+    if args.replications < 1:
+        raise ValueError(
+            f"--replications must be >= 1, got {args.replications}"
+        )
+    return [
+        ExperimentConfig(
+            scheme=scheme,
+            algorithm=args.algorithm,
+            n_clusters=args.clusters,
+            nodes_per_cluster=args.nodes,
+            duration=args.duration,
+            offered_load=args.load,
+            drain=True,
+            seed=args.seed,
+        )
+        for scheme in args.schemes
+    ]
+
+
+def _cmd_record(
+    args: argparse.Namespace, record, filename: str, count_key: str
+) -> int:
+    """Run ``trace record`` or ``probe record`` through ``record``.
+
+    Bad flags exit 2 before ``--out`` exists; ``count_key`` names the
+    manifest's record count.
+    """
+    from .obs.manifest import MANIFEST_FILENAME
+
+    try:
+        workers = resolve_workers(args.workers, source="--workers")
+        configs = _grid_configs(args)
+    except ValueError as exc:
+        _log.error("%s", exc)
+        return 2
+    _log.info(
+        "recording %s sweep: %d config(s) x %d replication(s), workers=%d",
+        args.command, len(configs), args.replications, workers,
+    )
+    _, manifest = record(
+        configs,
+        args.replications,
+        args.out,
+        n_workers=workers,
+        command=["repro", args.command, "record"],
+    )
+    out = Path(args.out)
+    _log.info("wrote %s (%d records) and %s", out / filename,
+              manifest.extra[count_key], out / MANIFEST_FILENAME)
+    return 0
+
+
 def cmd_trace(args: argparse.Namespace) -> int:
     """Dispatch the ``repro trace`` sub-subcommands."""
-    from .obs.trace import filter_events, read_trace, summarize_trace
+    from .obs.trace import (
+        TRACE_FILENAME, TRACE_KIND, TRACE_SCHEMA_VERSION, filter_events,
+        read_jsonl, record_sweep, summarize_trace,
+    )
 
     if args.trace_command == "record":
-        from .core.config import ExperimentConfig
-        from .obs.trace import MANIFEST_FILENAME, TRACE_FILENAME, record_sweep
+        return _cmd_record(args, record_sweep, TRACE_FILENAME,
+                           "n_trace_events")
 
-        try:
-            workers = resolve_workers(args.workers, source="--workers")
-        except ValueError as exc:
-            _log.error("%s", exc)
-            return 2
-        configs = [
-            ExperimentConfig(
-                scheme=scheme,
-                algorithm=args.algorithm,
-                n_clusters=args.clusters,
-                nodes_per_cluster=args.nodes,
-                duration=args.duration,
-                offered_load=args.load,
-                drain=True,
-                seed=args.seed,
-            )
-            for scheme in args.schemes
-        ]
-        _log.info(
-            "recording traced sweep: %d config(s) x %d replication(s), "
-            "workers=%d", len(configs), args.replications, workers,
-        )
-        _, manifest = record_sweep(
-            configs,
-            args.replications,
-            args.out,
-            n_workers=workers,
-            command=["repro", "trace", "record"],
-        )
-        out = Path(args.out)
-        _log.info("wrote %s (%d events) and %s",
-                  out / TRACE_FILENAME,
-                  manifest.extra.get("n_trace_events", 0),
-                  out / MANIFEST_FILENAME)
-        return 0
+    _, events = read_jsonl(args.trace, TRACE_KIND, TRACE_SCHEMA_VERSION)
 
     if args.trace_command == "summary":
-        _, events = read_trace(args.trace)
         print(json.dumps(summarize_trace(events), indent=2, sort_keys=True))
         return 0
 
     if args.trace_command == "export-chrome":
         from .obs.chrome import export_chrome
 
-        _, events = read_trace(args.trace)
         out = export_chrome(events, args.out)
         _log.info("wrote %s", out)
         return 0
 
     if args.trace_command == "filter":
-        _, events = read_trace(args.trace)
         for ev in filter_events(
             events,
             types=args.types,
@@ -929,57 +927,57 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 def cmd_probe(args: argparse.Namespace) -> int:
     """Dispatch the ``repro probe`` sub-subcommands."""
-    from .obs.probes import read_probes, summarize_probes
+    from functools import partial
+
+    from .obs.probes import (
+        PROBE_KIND, PROBE_SCHEMA_VERSION, PROBES_FILENAME,
+        record_probe_sweep, summarize_probes,
+    )
+    from .obs.trace import read_jsonl
+
+    def read(path: str) -> tuple[dict, list[dict]]:
+        return read_jsonl(path, PROBE_KIND, PROBE_SCHEMA_VERSION)
 
     if args.probe_command == "record":
-        from .core.config import ExperimentConfig
-        from .obs.probes import (
-            MANIFEST_FILENAME, PROBES_FILENAME, record_probe_sweep,
-        )
-
-        try:
-            workers = resolve_workers(args.workers, source="--workers")
-        except ValueError as exc:
-            _log.error("%s", exc)
-            return 2
         if args.cadence <= 0.0:
             _log.error("--cadence must be positive, got %g", args.cadence)
             return 2
-        configs = [
-            ExperimentConfig(
-                scheme=scheme,
-                algorithm=args.algorithm,
-                n_clusters=args.clusters,
-                nodes_per_cluster=args.nodes,
-                duration=args.duration,
-                offered_load=args.load,
-                drain=True,
-                seed=args.seed,
+        return _cmd_record(
+            args, partial(record_probe_sweep, cadence=args.cadence),
+            PROBES_FILENAME, "n_probe_records",
+        )
+
+    if args.probe_command == "compare":
+        path_a, path_b = args.probes
+        header_a, records_a = read(path_a)
+        header_b, records_b = read(path_b)
+        divergences = []
+        if header_a != header_b:
+            divergences.append("headers differ")
+        if len(records_a) != len(records_b):
+            divergences.append(
+                f"record counts differ: {len(records_a)} vs {len(records_b)}"
             )
-            for scheme in args.schemes
-        ]
-        _log.info(
-            "recording probed sweep: %d config(s) x %d replication(s), "
-            "cadence=%gs, workers=%d",
-            len(configs), args.replications, args.cadence, workers,
+        first_diff = next(
+            (i for i, (a, b) in enumerate(zip(records_a, records_b))
+             if a != b),
+            None,
         )
-        _, manifest = record_probe_sweep(
-            configs,
-            args.replications,
-            args.out,
-            cadence=args.cadence,
-            n_workers=workers,
-            command=["repro", "probe", "record"],
-        )
-        out = Path(args.out)
-        _log.info("wrote %s (%d records) and %s",
-                  out / PROBES_FILENAME,
-                  manifest.extra.get("n_probe_records", 0),
-                  out / MANIFEST_FILENAME)
-        return 0
+        if first_diff is not None:
+            divergences.append(f"first differing record at line {first_diff + 2}")
+        report = {
+            "a": str(path_a),
+            "b": str(path_b),
+            "identical": not divergences,
+            "n_records": [len(records_a), len(records_b)],
+            "divergences": divergences,
+        }
+        print(json.dumps(report, indent=2, sort_keys=True))
+        return 0 if not divergences else 1
+
+    _, records = read(args.probes)
 
     if args.probe_command == "summary":
-        _, records = read_probes(args.probes)
         print(json.dumps(summarize_probes(records), indent=2, sort_keys=True))
         return 0
 
@@ -987,7 +985,6 @@ def cmd_probe(args: argparse.Namespace) -> int:
         from .analysis.plots import AsciiPlot
         from .obs.probes import probe_series
 
-        _, records = read_probes(args.probes)
         clusters = (
             [args.cluster] if args.cluster is not None
             else sorted({
@@ -1014,44 +1011,10 @@ def cmd_probe(args: argparse.Namespace) -> int:
         print(plot.render())
         return 0
 
-    if args.probe_command == "compare":
-        path_a, path_b = args.probes
-        header_a, records_a = read_probes(path_a)
-        header_b, records_b = read_probes(path_b)
-        divergences = []
-        if header_a != header_b:
-            divergences.append("headers differ")
-        if len(records_a) != len(records_b):
-            divergences.append(
-                f"record counts differ: {len(records_a)} vs {len(records_b)}"
-            )
-        first_diff = next(
-            (i for i, (a, b) in enumerate(zip(records_a, records_b))
-             if a != b),
-            None,
-        )
-        if first_diff is not None:
-            divergences.append(f"first differing record at line {first_diff + 2}")
-        report = {
-            "a": str(path_a),
-            "b": str(path_b),
-            "identical": not divergences,
-            "n_records": [len(records_a), len(records_b)],
-            "divergences": divergences,
-        }
-        print(json.dumps(report, indent=2, sort_keys=True))
-        return 0 if not divergences else 1
-
     if args.probe_command == "export-chrome":
-        from .obs.chrome import probes_to_counter_trace
+        from .obs.chrome import probes_to_counter_trace, write_chrome
 
-        _, records = read_probes(args.probes)
-        payload = probes_to_counter_trace(records)
-        out = Path(args.out)
-        out.write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
+        out = write_chrome(probes_to_counter_trace(records), args.out)
         _log.info("wrote %s", out)
         return 0
 
@@ -1118,21 +1081,7 @@ def _job_spec_payload(args: argparse.Namespace) -> dict:
         # Round-trip through JobSpec so a malformed file fails here,
         # client-side, with a useful message.
         return JobSpec.from_dict(json.loads(text)).to_dict()
-    from .core.config import ExperimentConfig
-
-    configs = tuple(
-        ExperimentConfig(
-            scheme=scheme,
-            algorithm=args.algorithm,
-            n_clusters=args.clusters,
-            nodes_per_cluster=args.nodes,
-            duration=args.duration,
-            offered_load=args.load,
-            drain=True,
-            seed=args.seed,
-        )
-        for scheme in args.schemes
-    )
+    configs = tuple(_grid_configs(args))
     return JobSpec(
         configs=configs,
         n_replications=args.replications,

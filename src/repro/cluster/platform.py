@@ -67,10 +67,6 @@ class Platform:
     def scheduler_at(self, index: int) -> Scheduler:
         return self.schedulers[index]
 
-    def eligible_clusters(self, nodes: int) -> list[int]:
-        """Indices of clusters on which a ``nodes``-node request can run."""
-        return [c.index for c in self.clusters if c.can_ever_fit(nodes)]
-
     # -- observability -----------------------------------------------------
 
     def attach_observer(self, observer) -> None:

@@ -136,9 +136,6 @@ class SchemeComparison:
             dropped_ratios=dropped,
         )
 
-    def all_relative(self) -> dict[str, RelativeMetrics]:
-        return {s: self.relative(s) for s in self.per_scheme}
-
 
 def paired_nonadopter_penalty(
     base_config: ExperimentConfig,

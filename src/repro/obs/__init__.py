@@ -9,8 +9,9 @@ strict no-op when disabled:
     Typed per-request lifecycle events (``submit`` → ``queue`` →
     ``start`` → ``complete``, with the cancellation and outage paths in
     between), recorded by a :class:`TraceRecorder` hooked into the
-    scheduler base and the coordinator, written to schema-versioned
-    JSONL, bit-identical between serial and parallel sweeps.
+    scheduler base and the coordinator; also the JSONL codec and grid
+    recorder that traces and probes share, bit-identical between serial
+    and parallel sweeps.
 ``repro.obs.metrics``
     A counters/gauges/timings registry snapshotted per run and
     aggregated across sweeps into the ``repro bench --json`` payload.
@@ -23,14 +24,15 @@ strict no-op when disabled:
     A deterministic sim-time probe sampler emitting schema-versioned
     JSONL time series of system state (queue depths, utilisation,
     outstanding duplicates, wasted node-seconds, kernel occupancy),
-    byte-identical across worker counts.
+    recorded through the trace module's codec and grid recorder.
 ``repro.obs.manifest``
     A run manifest (config fingerprints, RNG seed derivation, package
     version, platform, wall-clock) written alongside every traced
     sweep, so any result is reproducible from its artifact.
 ``repro.obs.chrome``
-    Exporter from the JSONL trace to Chrome ``trace_event`` JSON for
-    chrome://tracing / Perfetto visualisation.
+    Exporters from trace events (spans and instants) and probe records
+    (counter tracks) to Chrome ``trace_event`` JSON for chrome://tracing
+    / Perfetto visualisation.
 ``repro.obs.log``
     Structured ``logging`` setup shared by the CLI and the worker
     processes of the parallel sweep engine.
@@ -42,14 +44,13 @@ from .manifest import MANIFEST_SCHEMA_VERSION, RunManifest, build_manifest
 from .metrics import MetricsRegistry, aggregate_results, run_counters
 from .probes import (
     DEFAULT_PROBE_CADENCE,
+    PROBE_KIND,
     PROBE_SCHEMA_VERSION,
     ProbeSampler,
     probe_series,
-    read_probes,
     record_probe_sweep,
     run_single_probed,
     summarize_probes,
-    write_probes,
 )
 from .stream import (
     ONLINE_SCHEMA_VERSION,
@@ -60,26 +61,28 @@ from .stream import (
 )
 from .trace import (
     EVENT_TYPES,
+    TRACE_KIND,
     TRACE_SCHEMA_VERSION,
     TraceRecorder,
     filter_events,
-    read_trace,
+    read_jsonl,
     record_sweep,
     run_single_traced,
     summarize_trace,
-    write_trace,
+    write_jsonl,
 )
 
 __all__ = [
     "EVENT_TYPES",
+    "TRACE_KIND",
     "TRACE_SCHEMA_VERSION",
     "TraceRecorder",
     "filter_events",
-    "read_trace",
+    "read_jsonl",
     "record_sweep",
     "run_single_traced",
     "summarize_trace",
-    "write_trace",
+    "write_jsonl",
     "MetricsRegistry",
     "aggregate_results",
     "run_counters",
@@ -94,15 +97,14 @@ __all__ = [
     "MergedOnlineMetrics",
     "WelfordAccumulator",
     "merge_online_payloads",
+    "PROBE_KIND",
     "PROBE_SCHEMA_VERSION",
     "DEFAULT_PROBE_CADENCE",
     "ProbeSampler",
     "probe_series",
-    "read_probes",
     "record_probe_sweep",
     "run_single_probed",
     "summarize_probes",
-    "write_probes",
     "get_logger",
     "setup_logging",
     "worker_log_level",

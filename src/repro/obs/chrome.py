@@ -19,8 +19,9 @@ reordering events (or filtering a subset that preserves the key set)
 never reshuffles rows.
 
 Probe time series (see :mod:`repro.obs.probes`) export as counter
-tracks (``ph: "C"``) via :func:`probes_to_counter_trace`, viewable as
-stacked area charts alongside the lifecycle spans.
+tracks (``ph: "C"``) via :func:`probes_to_counter_trace`, a document of
+their own, viewable as stacked area charts.  Both documents are written
+by :func:`write_chrome`.
 
 The exporter is deterministic — identical input events produce
 byte-identical JSON (a golden file in ``tests/obs/test_chrome.py``
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Iterable, Optional, Union
+from typing import Iterable, Union
 
 from .probes import PROBE_SCHEMA_VERSION
 from .trace import TRACE_SCHEMA_VERSION
@@ -207,8 +208,8 @@ def probes_to_counter_trace(records: Iterable[dict]) -> dict:
     process row; kernel rows (``cluster == -1``) chart outstanding
     duplicates, cumulative waste and event-queue occupancy on a
     dedicated row.  Uses the same stable sorted-key ``pid`` assignment
-    as :func:`to_chrome_trace`, so counters from a probe recording line
-    up with spans from a trace recording of the same sweep.
+    as :func:`to_chrome_trace`, so rows keep their order when records
+    are reordered or filtered.
     """
     records = list(records)
     keys = sorted({_process_key(rec) for rec in records})
@@ -257,30 +258,18 @@ def probes_to_counter_trace(records: Iterable[dict]) -> dict:
     }
 
 
-def export_chrome(
-    events: Iterable[dict], path: Union[str, Path], indent: int = 2,
-    probe_records: Optional[Iterable[dict]] = None,
-) -> Path:
-    """Write the Chrome trace JSON for ``events`` to ``path``.
-
-    ``probe_records`` optionally folds probe counter tracks (see
-    :func:`probes_to_counter_trace`) into the same document; counter
-    rows are re-based past the span rows' pids so the two families
-    never collide.
-    """
+def write_chrome(payload: dict, path: Union[str, Path], indent: int = 2) -> Path:
+    """Write a Chrome trace document to ``path`` as canonical JSON."""
     path = Path(path)
-    payload = to_chrome_trace(events)
-    if probe_records is not None:
-        counters = probes_to_counter_trace(probe_records)
-        base = max(
-            (e["pid"] for e in payload["traceEvents"]), default=0
-        )
-        for entry in counters["traceEvents"]:
-            entry["pid"] += base
-        payload["traceEvents"].extend(counters["traceEvents"])
-        payload["otherData"]["probe_schema"] = PROBE_SCHEMA_VERSION
     path.write_text(
         json.dumps(payload, indent=indent, sort_keys=True) + "\n",
         encoding="utf-8",
     )
     return path
+
+
+def export_chrome(
+    events: Iterable[dict], path: Union[str, Path], indent: int = 2,
+) -> Path:
+    """Write the Chrome trace JSON for ``events`` to ``path``."""
+    return write_chrome(to_chrome_trace(events), path, indent)

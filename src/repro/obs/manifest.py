@@ -32,6 +32,9 @@ from .stream import ONLINE_SCHEMA_VERSION
 #:  payload layout was in force)
 MANIFEST_SCHEMA_VERSION = 2
 
+#: canonical manifest file name inside a recording directory
+MANIFEST_FILENAME = "manifest.json"
+
 #: one-line statement of how every random stream is derived; recorded
 #: verbatim so an artifact is interpretable without reading the code
 RNG_DERIVATION = (

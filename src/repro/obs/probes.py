@@ -25,6 +25,10 @@ Design rules (the same discipline as tracing):
   byte-identical for any worker count (locked in by
   ``tests/obs/test_probes.py`` and the ``probe-smoke`` CI job).
 
+Recording and serialisation are not this module's: probe files go
+through :mod:`repro.obs.trace`'s JSONL codec (kind ``repro-probes``)
+and its grid recorder, :func:`~repro.obs.trace.record_grid`.
+
 The sampler self-reschedules every ``cadence`` seconds of simulated
 time and retires when the event queue holds no further work
 (``peek_time() == inf``), so drained runs terminate instead of probing
@@ -33,36 +37,28 @@ forever.
 
 from __future__ import annotations
 
-import json
+import math
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 from typing import (
-    TYPE_CHECKING,
-    Callable,
-    Iterable,
-    Iterator,
-    Optional,
-    Sequence,
-    Union,
+    TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence, Union,
 )
-
-import math
 
 if TYPE_CHECKING:  # typing-only: core imports nothing from obs at runtime
     from ..cluster.platform import Platform
     from ..core.coordinator import Coordinator
     from ..sim.engine import Simulator
 
-from ..core.cache import config_fingerprint
 from ..core.config import ExperimentConfig
 from ..core.experiment import run_single
-from ..core.parallel import GridStats, run_grid
+from ..core.parallel import GridStats
 from ..core.results import ExperimentResult
 from ..sched.job import RequestState, reset_request_ids
 from ..sim.events import EventPriority
-from .manifest import RunManifest, build_manifest
+from .manifest import RunManifest
 from .stream import ONLINE_ESTIMATORS, ONLINE_QUANTILES, ONLINE_SCHEMA_VERSION
+from .trace import record_grid
 
 #: bump whenever the row tuple shape or JSONL line schema changes
 PROBE_SCHEMA_VERSION = 1
@@ -71,9 +67,11 @@ PROBE_SCHEMA_VERSION = 1
 #: window at 60 s cadence is 360 rows per cluster — cheap and legible)
 DEFAULT_PROBE_CADENCE = 60.0
 
-#: canonical probe / manifest file names inside a recording directory
+#: the ``kind`` a probe file's header carries
+PROBE_KIND = "repro-probes"
+
+#: canonical probe file name inside a recording directory
 PROBES_FILENAME = "probes.jsonl"
-MANIFEST_FILENAME = "manifest.json"
 
 #: per-cluster row: (t, cluster, queue_depth, busy_nodes, total_nodes)
 ClusterRow = "tuple[float, int, int, int, int]"
@@ -228,54 +226,13 @@ def _kernel_record(
     }
 
 
-def _dumps(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
-def write_probes(
-    path: Union[str, Path],
-    header: dict,
-    records: Iterable[dict],
-) -> int:
-    """Write a schema-versioned probe JSONL; returns the record count.
-
-    Line 1 is the header (always carrying ``kind``/``schema``); every
-    further line is one sample record.  Output is canonical (sorted
-    keys, compact separators) so identical samples produce identical
-    bytes — the substrate of the worker-count-invariance guarantee.
-    """
-    header = {"kind": "repro-probes", "schema": PROBE_SCHEMA_VERSION, **header}
-    count = 0
-    path = Path(path)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_dumps(header) + "\n")
-        for record in records:
-            fh.write(_dumps(record) + "\n")
-            count += 1
-    return count
-
-
-def read_probes(path: Union[str, Path]) -> tuple[dict, list[dict]]:
-    """Load a probe JSONL; returns ``(header, records)``.
-
-    Raises ``ValueError`` on a missing/foreign header or an unsupported
-    schema version (interchange artifacts fail loudly).
-    """
-    path = Path(path)
-    with open(path, "r", encoding="utf-8") as fh:
-        first = fh.readline()
-        if not first.strip():
-            raise ValueError(f"{path}: empty probe file")
-        header = json.loads(first)
-        if not isinstance(header, dict) or header.get("kind") != "repro-probes":
-            raise ValueError(f"{path}: not a repro probe series (bad header)")
-        if header.get("schema") != PROBE_SCHEMA_VERSION:
-            raise ValueError(
-                f"{path}: unsupported probe schema {header.get('schema')!r} "
-                f"(this build reads {PROBE_SCHEMA_VERSION})"
-            )
-        records = [json.loads(line) for line in fh if line.strip()]
-    return header, records
+def _probe_rows(
+    run: ProbedRun, config_index: int, replication: int, scheme: str
+) -> Iterator[dict]:
+    for crow in run.cluster_rows:
+        yield _cluster_record(crow, config_index, replication, scheme)
+    for krow in run.kernel_rows:
+        yield _kernel_record(krow, config_index, replication, scheme)
 
 
 # -- querying -------------------------------------------------------------
@@ -381,83 +338,23 @@ def record_probe_sweep(
 ) -> tuple[list[list[ExperimentResult]], RunManifest]:
     """Run a sweep with probes on; write ``probes.jsonl`` + ``manifest.json``.
 
-    The grid runs through the ordinary sweep engine (chunking, retry,
-    crash recovery all apply) with the probed runner substituted and
-    caching off — probed runs execute extra (probe) events, so their
-    results must never shadow cached unprobed ones.  Rows are written
-    in ``(config, replication)`` order regardless of worker scheduling,
-    so the JSONL is byte-identical for any ``n_workers``.
-
-    The manifest's ``extra`` block records the probe cadence, the
-    enabled estimator families and both observability schema versions,
-    making a replayed recording auditable end to end.
+    Probed runs execute extra (probe) events, so the uncached grid of
+    :func:`~repro.obs.trace.record_grid` also keeps their results from
+    shadowing unprobed ones.  The manifest records the cadence, the
+    estimator families and both observability schema versions.
     """
-    import time as _time
-
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    unique: list[ExperimentConfig] = []
-    slots: list[int] = []
-    index_of: dict[ExperimentConfig, int] = {}
-    for cfg in configs:
-        ui = index_of.get(cfg)
-        if ui is None:
-            ui = index_of[cfg] = len(unique)
-            unique.append(cfg)
-        slots.append(ui)
-
-    stats = stats if stats is not None else GridStats()
-    t0 = _time.perf_counter()
-    probed = run_grid(
-        unique,
+    return record_grid(
+        configs,
         n_replications,
-        n_workers=n_workers,
-        first_replication=first_replication,
-        cache=None,
-        chunksize=chunksize,
-        progress=progress,
+        out_dir,
         runner=partial(run_single_probed, cadence=cadence),
-        stats=stats,
-    )
-    wall = _time.perf_counter() - t0
-
-    reps = range(first_replication, first_replication + n_replications)
-
-    def iter_records() -> Iterator[dict]:
-        for ui, cfg in enumerate(unique):
-            for ri, rep in enumerate(reps):
-                run = probed[ui][ri]
-                for crow in run.cluster_rows:
-                    yield _cluster_record(crow, ui, rep, cfg.scheme)
-                for krow in run.kernel_rows:
-                    yield _kernel_record(krow, ui, rep, cfg.scheme)
-
-    header = {
-        "cadence": cadence,
-        "configs": [
-            {
-                "index": ui,
-                "scheme": cfg.scheme,
-                "describe": cfg.describe(),
-                "fingerprint": config_fingerprint(cfg),
-            }
-            for ui, cfg in enumerate(unique)
-        ],
-        "n_replications": n_replications,
-        "first_replication": first_replication,
-    }
-    n_records = write_probes(out_dir / PROBES_FILENAME, header, iter_records())
-
-    manifest = build_manifest(
-        unique,
-        n_replications=n_replications,
-        first_replication=first_replication,
-        n_workers=n_workers,
-        wall_time_s=wall,
-        grid_stats=stats.as_dict(),
-        command=list(command) if command is not None else None,
-        extra={
-            "n_probe_records": n_records,
+        rows=_probe_rows,
+        kind=PROBE_KIND,
+        schema=PROBE_SCHEMA_VERSION,
+        filename=PROBES_FILENAME,
+        header_extra={"cadence": cadence},
+        manifest_extra=lambda n: {
+            "n_probe_records": n,
             "probe_file": PROBES_FILENAME,
             "probe_cadence": cadence,
             "probe_schema": PROBE_SCHEMA_VERSION,
@@ -465,8 +362,10 @@ def record_probe_sweep(
             "online_estimators": list(ONLINE_ESTIMATORS),
             "online_quantiles": list(ONLINE_QUANTILES),
         },
+        n_workers=n_workers,
+        first_replication=first_replication,
+        chunksize=chunksize,
+        progress=progress,
+        stats=stats,
+        command=command,
     )
-    manifest.write(out_dir / MANIFEST_FILENAME)
-
-    per_unique = [[pr.result for pr in probed[ui]] for ui in range(len(unique))]
-    return [list(per_unique[ui]) for ui in slots], manifest

@@ -34,6 +34,14 @@ never on which worker process ran it or what it ran before — and
 :func:`record_sweep` writes tasks in ``(config, replication)`` order.
 The JSONL produced with ``--workers 4`` is therefore byte-identical to
 ``--workers 1`` (locked in by ``tests/obs/test_trace.py``).
+
+This module also holds the recording machinery that traces and
+:mod:`repro.obs.probes` share: the one schema-versioned JSONL codec
+(:func:`write_jsonl`/:func:`read_jsonl`, keyed by the header's
+``kind`` and ``schema``) and the one recorded-sweep body
+(:func:`record_grid`).  :func:`record_sweep` and
+:func:`~repro.obs.probes.record_probe_sweep` each supply only a runner,
+a row function and their own header and manifest keys.
 """
 
 from __future__ import annotations
@@ -41,7 +49,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from ..contracts import declared_pure
 from ..core.cache import config_fingerprint
@@ -50,7 +58,7 @@ from ..core.experiment import run_single
 from ..core.parallel import GridStats, run_grid
 from ..core.results import ExperimentResult
 from ..sched.job import reset_request_ids
-from .manifest import RunManifest, build_manifest
+from .manifest import MANIFEST_FILENAME, RunManifest, build_manifest
 
 #: bump whenever the event tuple shape or JSONL line schema changes
 TRACE_SCHEMA_VERSION = 1
@@ -74,9 +82,11 @@ EVENT_TYPES = (
 #: ``duplicate_start``) that a trace never holds
 _RECORDED = frozenset(EVENT_TYPES)
 
-#: canonical trace / manifest file names inside a recording directory
+#: the ``kind`` a trace file's header carries
+TRACE_KIND = "repro-trace"
+
+#: canonical trace file name inside a recording directory
 TRACE_FILENAME = "trace.jsonl"
-MANIFEST_FILENAME = "manifest.json"
 
 #: one recorded event: (sim_time, type, cluster, request_id, job_id);
 #: request/job are -1 for cluster-level events (outages)
@@ -190,51 +200,51 @@ def _dumps(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def write_trace(
+def write_jsonl(
     path: Union[str, Path],
+    kind: str,
+    schema: int,
     header: dict,
     records: Iterable[dict],
 ) -> int:
-    """Write a schema-versioned JSONL trace; returns the event count.
+    """Write a schema-versioned JSONL file; returns the record count.
 
-    Line 1 is the header (always carrying ``kind``/``schema``); every
-    further line is one event record.  Output is canonical (sorted
-    keys, compact separators) so identical events produce identical
-    bytes.
+    Line 1 is the header, led by ``kind``/``schema``; every further
+    line is one record.  Output is canonical (sorted keys, compact
+    separators) so identical records produce identical bytes.
     """
-    header = {"kind": "repro-trace", "schema": TRACE_SCHEMA_VERSION, **header}
     count = 0
-    path = Path(path)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_dumps(header) + "\n")
+        fh.write(_dumps({"kind": kind, "schema": schema, **header}) + "\n")
         for record in records:
             fh.write(_dumps(record) + "\n")
             count += 1
     return count
 
 
-def read_trace(path: Union[str, Path]) -> tuple[dict, list[dict]]:
-    """Load a JSONL trace; returns ``(header, events)``.
+def read_jsonl(
+    path: Union[str, Path], kind: str, schema: int
+) -> tuple[dict, list[dict]]:
+    """Load a JSONL file of ``kind``; returns ``(header, records)``.
 
-    Raises ``ValueError`` on a missing/foreign header or an unsupported
-    schema version — a trace is an interchange artifact, so failing
-    loudly beats misinterpreting someone else's JSONL.
+    Raises ``ValueError`` naming the expected kind on an empty file, a
+    foreign header or another schema version: failing loudly beats
+    misreading someone else's JSONL.
     """
-    path = Path(path)
     with open(path, "r", encoding="utf-8") as fh:
         first = fh.readline()
         if not first.strip():
-            raise ValueError(f"{path}: empty trace file")
+            raise ValueError(f"{path}: empty file, expected {kind}")
         header = json.loads(first)
-        if not isinstance(header, dict) or header.get("kind") != "repro-trace":
-            raise ValueError(f"{path}: not a repro trace (bad header)")
-        if header.get("schema") != TRACE_SCHEMA_VERSION:
+        if not isinstance(header, dict) or header.get("kind") != kind:
+            raise ValueError(f"{path}: not a {kind} file (bad header)")
+        if header.get("schema") != schema:
             raise ValueError(
-                f"{path}: unsupported trace schema {header.get('schema')!r} "
-                f"(this build reads {TRACE_SCHEMA_VERSION})"
+                f"{path}: unsupported {kind} schema {header.get('schema')!r} "
+                f"(this build reads {schema})"
             )
-        events = [json.loads(line) for line in fh if line.strip()]
-    return header, events
+        records = [json.loads(line) for line in fh if line.strip()]
+    return header, records
 
 
 # -- querying -------------------------------------------------------------
@@ -311,7 +321,106 @@ def summarize_trace(events: Iterable[dict]) -> dict:
     }
 
 
-# -- traced sweeps --------------------------------------------------------
+# -- recorded sweeps -----------------------------------------------------
+
+
+def record_grid(
+    configs: Sequence[ExperimentConfig],
+    n_replications: int,
+    out_dir: Union[str, Path],
+    *,
+    runner: Callable,
+    rows: Callable[[Any, int, int, str], Iterable[dict]],
+    kind: str,
+    schema: int,
+    filename: str,
+    manifest_extra: Callable[[int], dict],
+    header_extra: Optional[dict] = None,
+    n_workers: int = 1,
+    first_replication: int = 0,
+    chunksize: Optional[int] = None,
+    progress: Optional[Callable[[str], None]] = None,
+    stats: Optional[GridStats] = None,
+    command: Optional[Sequence[str]] = None,
+) -> tuple[list[list[ExperimentResult]], RunManifest]:
+    """Run a recorded sweep; write ``filename`` + ``manifest.json``.
+
+    The one body behind :func:`record_sweep` and
+    :func:`~repro.obs.probes.record_probe_sweep`.  The grid runs through
+    the ordinary sweep engine with ``runner`` substituted and caching
+    off: a cached result has nothing to record.  The records of
+    ``rows(run, config_index, replication, scheme)`` are written in
+    ``(config, replication)`` order, so the file is byte-identical for
+    any ``n_workers``.  A repeated config is recorded once, under its
+    first index; the results come back parallel to ``configs``.
+    """
+    import time as _time
+
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    unique = list(dict.fromkeys(configs))
+
+    stats = stats if stats is not None else GridStats()
+    t0 = _time.perf_counter()
+    runs = run_grid(
+        unique,
+        n_replications,
+        n_workers=n_workers,
+        first_replication=first_replication,
+        cache=None,
+        chunksize=chunksize,
+        progress=progress,
+        runner=runner,
+        stats=stats,
+    )
+    wall = _time.perf_counter() - t0
+
+    reps = range(first_replication, first_replication + n_replications)
+
+    def iter_records() -> Iterator[dict]:
+        for ui, cfg in enumerate(unique):
+            for ri, rep in enumerate(reps):
+                yield from rows(runs[ui][ri], ui, rep, cfg.scheme)
+
+    header = {
+        **(header_extra or {}),
+        "configs": [
+            {
+                "index": ui,
+                "scheme": cfg.scheme,
+                "describe": cfg.describe(),
+                "fingerprint": config_fingerprint(cfg),
+            }
+            for ui, cfg in enumerate(unique)
+        ],
+        "n_replications": n_replications,
+        "first_replication": first_replication,
+    }
+    n_records = write_jsonl(
+        out_dir / filename, kind, schema, header, iter_records()
+    )
+
+    manifest = build_manifest(
+        unique,
+        n_replications=n_replications,
+        first_replication=first_replication,
+        n_workers=n_workers,
+        wall_time_s=wall,
+        grid_stats=stats.as_dict(),
+        command=list(command) if command is not None else None,
+        extra=manifest_extra(n_records),
+    )
+    manifest.write(out_dir / MANIFEST_FILENAME)
+
+    runs_of = dict(zip(unique, runs))
+    return [[run.result for run in runs_of[cfg]] for cfg in configs], manifest
+
+
+def _trace_rows(
+    run: TracedRun, config_index: int, replication: int, scheme: str
+) -> Iterator[dict]:
+    for event in run.events:
+        yield _event_record(event, config_index, replication, scheme)
 
 
 def record_sweep(
@@ -325,82 +434,23 @@ def record_sweep(
     stats: Optional[GridStats] = None,
     command: Optional[Sequence[str]] = None,
 ) -> tuple[list[list[ExperimentResult]], RunManifest]:
-    """Run a sweep with tracing on; write ``trace.jsonl`` + ``manifest.json``.
-
-    The grid runs through the ordinary sweep engine (chunking, retry,
-    crash recovery all apply) with the traced runner substituted and
-    caching off — a cached result has no events to contribute, and a
-    trace must reflect work actually performed.  Events are written in
-    ``(config, replication)`` order regardless of worker scheduling, so
-    the JSONL is byte-identical for any ``n_workers``.
-
-    Returns the unwrapped results (parallel to ``configs``) and the
-    manifest.  Duplicate configs are collapsed in the trace (each
-    unique config appears once, under its first index).
-    """
-    import time as _time
-
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    unique: list[ExperimentConfig] = []
-    slots: list[int] = []
-    index_of: dict[ExperimentConfig, int] = {}
-    for cfg in configs:
-        ui = index_of.get(cfg)
-        if ui is None:
-            ui = index_of[cfg] = len(unique)
-            unique.append(cfg)
-        slots.append(ui)
-
-    stats = stats if stats is not None else GridStats()
-    t0 = _time.perf_counter()
-    traced = run_grid(
-        unique,
+    """Run a sweep with tracing on; write ``trace.jsonl`` + ``manifest.json``."""
+    return record_grid(
+        configs,
         n_replications,
+        out_dir,
+        runner=run_single_traced,
+        rows=_trace_rows,
+        kind=TRACE_KIND,
+        schema=TRACE_SCHEMA_VERSION,
+        filename=TRACE_FILENAME,
+        manifest_extra=lambda n: {
+            "n_trace_events": n, "trace_file": TRACE_FILENAME,
+        },
         n_workers=n_workers,
         first_replication=first_replication,
-        cache=None,
         chunksize=chunksize,
         progress=progress,
-        runner=run_single_traced,
         stats=stats,
+        command=command,
     )
-    wall = _time.perf_counter() - t0
-
-    reps = range(first_replication, first_replication + n_replications)
-
-    def iter_records() -> Iterator[dict]:
-        for ui, cfg in enumerate(unique):
-            for ri, rep in enumerate(reps):
-                for event in traced[ui][ri].events:
-                    yield _event_record(event, ui, rep, cfg.scheme)
-
-    header = {
-        "configs": [
-            {
-                "index": ui,
-                "scheme": cfg.scheme,
-                "describe": cfg.describe(),
-                "fingerprint": config_fingerprint(cfg),
-            }
-            for ui, cfg in enumerate(unique)
-        ],
-        "n_replications": n_replications,
-        "first_replication": first_replication,
-    }
-    n_events = write_trace(out_dir / TRACE_FILENAME, header, iter_records())
-
-    manifest = build_manifest(
-        unique,
-        n_replications=n_replications,
-        first_replication=first_replication,
-        n_workers=n_workers,
-        wall_time_s=wall,
-        grid_stats=stats.as_dict(),
-        command=list(command) if command is not None else None,
-        extra={"n_trace_events": n_events, "trace_file": TRACE_FILENAME},
-    )
-    manifest.write(out_dir / MANIFEST_FILENAME)
-
-    per_unique = [[tr.result for tr in traced[ui]] for ui in range(len(unique))]
-    return [list(per_unique[ui]) for ui in slots], manifest

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from typing import Iterable, Optional, Tuple
+from typing import Optional, Tuple
 
 __all__ = ["Profile", "ProfileError"]
 
@@ -67,27 +67,6 @@ class Profile:
         self.total_nodes = int(total_nodes)
 
     # -- construction ----------------------------------------------------
-
-    @classmethod
-    def from_running(
-        cls,
-        now: float,
-        total_nodes: int,
-        running: Iterable[Tuple[float, int]],
-    ) -> "Profile":
-        """Build the profile implied by running requests.
-
-        ``running`` yields ``(expected_end, nodes)`` pairs; each pair
-        returns ``nodes`` nodes to the pool at ``expected_end``.
-        """
-        releases = list(running)
-        busy = sum(nodes for _, nodes in releases)
-        if busy > total_nodes:
-            raise ProfileError(f"running jobs hold {busy} > {total_nodes} nodes")
-        prof = cls(now, total_nodes - busy, total_nodes)
-        for end, nodes in releases:
-            prof.adjust(max(end, now), math.inf, nodes)
-        return prof
 
     def copy(self) -> "Profile":
         """Independent deep copy (used by tests and what-if probing)."""
@@ -174,12 +153,6 @@ class Profile:
         if nodes <= 0:
             raise ValueError(f"nodes must be positive, got {nodes}")
         self.adjust(start, start + duration, -nodes)
-
-    def release_window(self, start: float, end: float, nodes: int) -> None:
-        """Give back ``nodes`` over ``[start, end)`` (undo part of a hold)."""
-        if nodes <= 0:
-            raise ValueError(f"nodes must be positive, got {nodes}")
-        self.adjust(start, end, nodes)
 
     def trim(self, t: float) -> None:
         """Drop breakpoints strictly before ``t``; new origin becomes ``t``.

@@ -1,15 +1,11 @@
 """Tests for CSV/JSON export."""
 
+import csv
 import json
 
 import pytest
 
-from repro.analysis.export import (
-    read_results_csv,
-    report_to_json,
-    results_to_csv,
-    table_to_csv,
-)
+from repro.analysis.export import report_to_json, results_to_csv, table_to_csv
 from repro.analysis.registry import ExperimentReport
 from repro.analysis.tables import Table
 from repro.core.config import ExperimentConfig
@@ -58,7 +54,8 @@ class TestResultsCSV:
         path = tmp_path / "jobs.csv"
         n = results_to_csv([result], path)
         assert n == result.n_jobs
-        rows = read_results_csv(path)
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
         assert len(rows) == n
         assert rows[0]["scheme"] == "R2"
         assert float(rows[0]["stretch"]) >= 1.0

@@ -51,11 +51,6 @@ class TestTable:
         with pytest.raises(ValueError):
             t.add_row("r", [1, 2])
 
-    def test_markdown(self):
-        md = self.make().to_markdown()
-        assert md.startswith("**Demo**")
-        assert "| row1 | 1.00 | 2.00 |" in md
-
     def test_column_access(self):
         t = self.make()
         assert t.column("A") == [1.0, 3.5]

@@ -65,15 +65,3 @@ class TestBuilders:
         p1 = heterogeneous_platform(Simulator(), 8, np.random.default_rng(5))
         p2 = heterogeneous_platform(Simulator(), 8, np.random.default_rng(5))
         assert p1.node_counts == p2.node_counts
-
-
-class TestEligibility:
-    def test_eligible_clusters_filters_by_size(self, sim):
-        p = Platform(sim, [16, 64, 256])
-        assert p.eligible_clusters(32) == [1, 2]
-        assert p.eligible_clusters(256) == [2]
-        assert p.eligible_clusters(1) == [0, 1, 2]
-
-    def test_no_cluster_large_enough(self, sim):
-        p = Platform(sim, [16, 32])
-        assert p.eligible_clusters(64) == []

@@ -62,11 +62,6 @@ class TestCompareSchemes:
         assert len(messages) == 2  # baseline + one scheme
         assert "NONE" in messages[0]
 
-    def test_all_relative(self):
-        cmp_ = compare_schemes(tiny(), ["R2", "R3"], 1)
-        rel = cmp_.all_relative()
-        assert set(rel) == {"R2", "R3"}
-
 
 class TestDroppedRatios:
     """Degenerate baselines are counted, not silently skipped."""

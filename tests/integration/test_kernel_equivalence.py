@@ -14,7 +14,13 @@ from __future__ import annotations
 import pytest
 
 from repro.core.config import ExperimentConfig
-from repro.obs.trace import run_single_traced, write_trace, _event_record
+from repro.obs.trace import (
+    TRACE_KIND,
+    TRACE_SCHEMA_VERSION,
+    _event_record,
+    run_single_traced,
+    write_jsonl,
+)
 from repro.sim import engine
 from repro.sim.heapref import BinaryHeapQueue
 
@@ -34,7 +40,7 @@ def _trace_bytes(tmp_path, name, traced, scheme):
         _event_record(e, config_index=0, replication=0, scheme=scheme)
         for e in traced.events
     )
-    write_trace(path, {"configs": []}, records)
+    write_jsonl(path, TRACE_KIND, TRACE_SCHEMA_VERSION, {"configs": []}, records)
     return path.read_bytes()
 
 

@@ -11,7 +11,6 @@ The three guarantees under test, in order of importance:
 """
 
 import dataclasses
-import json
 import math
 
 import pytest
@@ -20,15 +19,15 @@ from repro.core.config import ExperimentConfig
 from repro.core.experiment import run_single
 from repro.obs.probes import (
     DEFAULT_PROBE_CADENCE,
+    PROBE_KIND,
     PROBE_SCHEMA_VERSION,
     ProbeSampler,
     probe_series,
-    read_probes,
     record_probe_sweep,
     run_single_probed,
     summarize_probes,
-    write_probes,
 )
+from repro.obs.trace import read_jsonl
 
 
 def small_config(**overrides):
@@ -102,7 +101,7 @@ class TestProbedTrajectoryInvariance:
         )
 
 
-class TestJsonlRoundTrip:
+class TestSeriesAndSummary:
     RECORDS = [
         {"t": 0.0, "config": 0, "rep": 0, "scheme": "R2", "cluster": 0,
          "queue_depth": 3, "busy_nodes": 8, "total_nodes": 16,
@@ -111,30 +110,6 @@ class TestJsonlRoundTrip:
          "outstanding_duplicates": 1, "wasted_node_seconds": 0.0,
          "pending_events": 11, "events_executed": 4, "compactions": 0},
     ]
-
-    def test_write_read(self, tmp_path):
-        path = tmp_path / "p.jsonl"
-        n = write_probes(path, {"note": "x"}, self.RECORDS)
-        assert n == 2
-        header, records = read_probes(path)
-        assert header["kind"] == "repro-probes"
-        assert header["schema"] == PROBE_SCHEMA_VERSION
-        assert header["note"] == "x"
-        assert records == self.RECORDS
-
-    def test_read_rejects_foreign_file(self, tmp_path):
-        path = tmp_path / "x.jsonl"
-        path.write_text('{"hello": 1}\n')
-        with pytest.raises(ValueError, match="not a repro probe"):
-            read_probes(path)
-
-    def test_read_rejects_future_schema(self, tmp_path):
-        path = tmp_path / "x.jsonl"
-        path.write_text(
-            json.dumps({"kind": "repro-probes", "schema": 999}) + "\n"
-        )
-        with pytest.raises(ValueError, match="unsupported probe schema"):
-            read_probes(path)
 
     def test_series_and_summary(self):
         series = probe_series(self.RECORDS, "queue_depth", cluster=0)
@@ -173,7 +148,9 @@ class TestRecordSweepDeterminism:
         assert manifest.extra["probe_schema"] == PROBE_SCHEMA_VERSION
         assert manifest.extra["online_estimators"] == list(ONLINE_ESTIMATORS)
         assert manifest.extra["n_probe_records"] > 0
-        header, records = read_probes(tmp_path / "probes.jsonl")
+        header, records = read_jsonl(
+            tmp_path / "probes.jsonl", PROBE_KIND, PROBE_SCHEMA_VERSION
+        )
         assert header["cadence"] == 75.0
         assert len(records) == manifest.extra["n_probe_records"]
 

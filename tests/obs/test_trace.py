@@ -7,16 +7,18 @@ import pytest
 
 from repro.core.config import ExperimentConfig
 from repro.core.experiment import run_single
+from repro.obs.probes import PROBE_KIND, PROBE_SCHEMA_VERSION
 from repro.obs.trace import (
     EVENT_TYPES,
+    TRACE_KIND,
     TRACE_SCHEMA_VERSION,
     TraceRecorder,
     filter_events,
-    read_trace,
+    read_jsonl,
     record_sweep,
     run_single_traced,
     summarize_trace,
-    write_trace,
+    write_jsonl,
 )
 
 
@@ -105,42 +107,65 @@ class TestTracedRun:
             assert "outage_down" in types and "outage_up" in types
 
 
-class TestJsonlRoundTrip:
-    def test_write_read(self, tmp_path):
-        path = tmp_path / "t.jsonl"
-        records = [
-            {"t": 0.0, "type": "submit", "cluster": 0, "request": 1,
-             "job": 0, "config": 0, "rep": 0, "scheme": "R2"},
-            {"t": 1.0, "type": "start", "cluster": 0, "request": 1,
-             "job": 0, "config": 0, "rep": 0, "scheme": "R2"},
-        ]
-        n = write_trace(path, {"note": "x"}, records)
-        assert n == 2
-        header, events = read_trace(path)
-        assert header["kind"] == "repro-trace"
-        assert header["schema"] == TRACE_SCHEMA_VERSION
-        assert header["note"] == "x"
-        assert events == records
+#: one sample file of each kind the JSONL codec reads and writes
+JSONL_KINDS = {
+    TRACE_KIND: (TRACE_SCHEMA_VERSION, [
+        {"t": 0.0, "type": "submit", "cluster": 0, "request": 1,
+         "job": 0, "config": 0, "rep": 0, "scheme": "R2"},
+        {"t": 1.0, "type": "start", "cluster": 0, "request": 1,
+         "job": 0, "config": 0, "rep": 0, "scheme": "R2"},
+    ]),
+    PROBE_KIND: (PROBE_SCHEMA_VERSION, [
+        {"t": 0.0, "config": 0, "rep": 0, "scheme": "R2", "cluster": 0,
+         "queue_depth": 3, "busy_nodes": 8, "total_nodes": 16,
+         "utilisation": 0.5},
+        {"t": 0.0, "config": 0, "rep": 0, "scheme": "R2", "cluster": -1,
+         "outstanding_duplicates": 1, "wasted_node_seconds": 0.0,
+         "pending_events": 11, "events_executed": 4, "compactions": 0},
+    ]),
+}
 
-    def test_read_rejects_foreign_file(self, tmp_path):
+
+@pytest.mark.parametrize("kind", sorted(JSONL_KINDS))
+class TestJsonlRoundTrip:
+    """The one JSONL codec, over both kinds of file it serves."""
+
+    def test_write_read(self, tmp_path, kind):
+        schema, records = JSONL_KINDS[kind]
+        path = tmp_path / "x.jsonl"
+        assert write_jsonl(path, kind, schema, {"note": "x"}, records) == 2
+        header, got = read_jsonl(path, kind, schema)
+        assert header == {"kind": kind, "schema": schema, "note": "x"}
+        assert got == records
+
+    def test_read_rejects_foreign_file(self, tmp_path, kind):
+        schema, _ = JSONL_KINDS[kind]
         path = tmp_path / "x.jsonl"
         path.write_text('{"hello": 1}\n')
-        with pytest.raises(ValueError, match="not a repro trace"):
-            read_trace(path)
+        with pytest.raises(ValueError, match=f"not a {kind} file"):
+            read_jsonl(path, kind, schema)
 
-    def test_read_rejects_future_schema(self, tmp_path):
+    def test_read_rejects_other_kind(self, tmp_path, kind):
+        schema, records = JSONL_KINDS[kind]
+        other = next(k for k in JSONL_KINDS if k != kind)
         path = tmp_path / "x.jsonl"
-        path.write_text(
-            json.dumps({"kind": "repro-trace", "schema": 999}) + "\n"
-        )
-        with pytest.raises(ValueError, match="unsupported trace schema"):
-            read_trace(path)
+        write_jsonl(path, other, JSONL_KINDS[other][0], {}, records)
+        with pytest.raises(ValueError, match=f"not a {kind} file"):
+            read_jsonl(path, kind, schema)
 
-    def test_read_rejects_empty(self, tmp_path):
+    def test_read_rejects_future_schema(self, tmp_path, kind):
+        schema, _ = JSONL_KINDS[kind]
+        path = tmp_path / "x.jsonl"
+        path.write_text(json.dumps({"kind": kind, "schema": 999}) + "\n")
+        with pytest.raises(ValueError, match=f"unsupported {kind} schema"):
+            read_jsonl(path, kind, schema)
+
+    def test_read_rejects_empty(self, tmp_path, kind):
+        schema, _ = JSONL_KINDS[kind]
         path = tmp_path / "x.jsonl"
         path.write_text("")
-        with pytest.raises(ValueError, match="empty"):
-            read_trace(path)
+        with pytest.raises(ValueError, match=f"empty file, expected {kind}"):
+            read_jsonl(path, kind, schema)
 
 
 class TestFilterAndSummary:
@@ -194,7 +219,9 @@ class TestRecordSweepDeterminism:
         assert (tmp_path / "manifest.json").exists()
         assert manifest.n_replications == 2
         assert manifest.extra["n_trace_events"] > 0
-        header, events = read_trace(tmp_path / "trace.jsonl")
+        header, events = read_jsonl(
+            tmp_path / "trace.jsonl", TRACE_KIND, TRACE_SCHEMA_VERSION
+        )
         assert header["configs"][0]["scheme"] == "R2"
         assert len(events) == manifest.extra["n_trace_events"]
 

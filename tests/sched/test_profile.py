@@ -20,20 +20,6 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Profile(0.0, -1, 8)
 
-    def test_from_running(self):
-        p = Profile.from_running(0.0, 8, [(10.0, 3), (5.0, 2)])
-        assert p.free_at(0.0) == 3
-        assert p.free_at(5.0) == 5
-        assert p.free_at(10.0) == 8
-
-    def test_from_running_overcommitted(self):
-        with pytest.raises(ProfileError):
-            Profile.from_running(0.0, 4, [(10.0, 3), (5.0, 2)])
-
-    def test_from_running_past_release_clamped(self):
-        p = Profile.from_running(10.0, 8, [(5.0, 3)])
-        assert p.free_at(10.0) == 8
-
 
 class TestAdjust:
     def test_reserve_creates_window(self):
@@ -52,12 +38,6 @@ class TestAdjust:
         assert p.free_at(3.0) == 0
         assert p.free_at(7.0) == 4
 
-    def test_release_window_undoes_reserve(self):
-        p = Profile(0.0, 8, 8)
-        p.reserve(5.0, 10.0, 3)
-        p.release_window(5.0, 15.0, 3)
-        assert all(f == 8 for _, f in p.segments())
-
     def test_overcommit_rejected_and_rolled_back(self):
         p = Profile(0.0, 8, 8)
         p.reserve(0.0, 10.0, 6)
@@ -71,7 +51,7 @@ class TestAdjust:
     def test_release_above_capacity_rejected(self):
         p = Profile(0.0, 8, 8)
         with pytest.raises(ProfileError):
-            p.release_window(0.0, 5.0, 1)
+            p.adjust(0.0, 5.0, 1)
 
     def test_adjust_before_origin_rejected(self):
         p = Profile(10.0, 8, 8)
@@ -101,7 +81,7 @@ class TestAdjustBatching:
         p.reserve(10.0, 5.0, 2)  # same window: both edges exist already
         assert len(p) == n_segments
         assert p.free_at(12.0) == 3
-        p.release_window(10.0, 15.0, 5)
+        p.adjust(10.0, 15.0, 5)
         assert len(p) == n_segments
         assert all(f == 8 for _, f in p.segments())
         p.check_invariants()
@@ -152,7 +132,8 @@ class TestFindStart:
         assert p.find_start(4, 10.0, 0.0) == 0.0
 
     def test_waits_for_release(self):
-        p = Profile.from_running(0.0, 8, [(10.0, 8)])
+        p = Profile(0.0, 0, 8)
+        p.adjust(10.0, math.inf, 8)
         assert p.find_start(4, 5.0, 0.0) == 10.0
 
     def test_hole_too_short_is_skipped(self):

@@ -372,33 +372,3 @@ def test_profile_matches_model_lockstep(ops):
         p.check_invariants()
         assert p.segments() == model.segments(), f"state diverged after {op}"
         assert len(p) == len(model.breakpoints)
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    running=st.lists(
-        st.tuples(
-            st.floats(min_value=0.0, max_value=80.0),
-            st.integers(min_value=1, max_value=4),
-        ),
-        max_size=4,
-    )
-)
-def test_from_running_matches_reference(running):
-    """Construction from running holds: each hold returns its nodes at
-    ``max(end, now)``, and holding more than capacity is rejected."""
-    now = 10.0
-    busy = sum(nodes for _, nodes in running)
-    if busy > TOTAL:
-        try:
-            Profile.from_running(now, TOTAL, running)
-        except ProfileError:
-            return
-        raise AssertionError("from_running accepted an overcommitted hold")
-    p = Profile.from_running(now, TOTAL, running)
-    releases = [(max(end, now), nodes) for end, nodes in running]
-    breakpoints = sorted({now} | {t for t, _ in releases})
-    assert p.segments() == [
-        (b, TOTAL - busy + sum(n for t, n in releases if t <= b))
-        for b in breakpoints
-    ]

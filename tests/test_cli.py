@@ -250,6 +250,23 @@ class TestProbeCommand:
         ).read_bytes()
 
 
+@pytest.mark.parametrize("command", ["trace", "probe"])
+@pytest.mark.parametrize("flag, value", [
+    ("--replications", "0"),
+    ("--clusters", "0"),
+    ("--duration", "-5"),
+])
+def test_record_rejects_bad_grid_flag(command, flag, value, tmp_path, capsys):
+    """A bad grid flag is one ERROR line and exit 2, before any output."""
+    out = tmp_path / "out"
+    assert main(["-q", command, "record", "--out", str(out),
+                 flag, value]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
 class TestBenchCommand:
     def test_bench_payload_keys(self, capsys):
         assert main(["-q", "bench", "--replications", "1",

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import stats as sps
 
 
 @dataclass(frozen=True)
@@ -51,6 +50,8 @@ def mean_ci(values: Sequence[float], confidence: float = 0.95) -> ConfidenceInte
     mean = float(arr.mean())
     if arr.size == 1:
         return ConfidenceInterval(mean, -math.inf, math.inf, confidence, 1)
+    from scipy import stats as sps
+
     sem = float(arr.std(ddof=1)) / math.sqrt(arr.size)
     t = float(sps.t.ppf(0.5 + confidence / 2.0, arr.size - 1))
     return ConfidenceInterval(
@@ -115,6 +116,8 @@ def sign_test(
     contested = wins + losses
     if contested == 0:
         return SignTestResult(wins, losses, ties, 1.0)
+    from scipy import stats as sps
+
     p = float(sps.binomtest(wins, contested, 0.5).pvalue)
     return SignTestResult(wins, losses, ties, p)
 

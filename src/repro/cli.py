@@ -892,7 +892,11 @@ def cmd_trace(args: argparse.Namespace) -> int:
         return _cmd_record(args, record_sweep, TRACE_FILENAME,
                            "n_trace_events")
 
-    _, events = read_jsonl(args.trace, TRACE_KIND, TRACE_SCHEMA_VERSION)
+    try:
+        _, events = read_jsonl(args.trace, TRACE_KIND, TRACE_SCHEMA_VERSION)
+    except (OSError, ValueError) as exc:
+        _log.error("%s", exc)
+        return 2
 
     if args.trace_command == "summary":
         print(json.dumps(summarize_trace(events), indent=2, sort_keys=True))
@@ -935,9 +939,6 @@ def cmd_probe(args: argparse.Namespace) -> int:
     )
     from .obs.trace import read_jsonl
 
-    def read(path: str) -> tuple[dict, list[dict]]:
-        return read_jsonl(path, PROBE_KIND, PROBE_SCHEMA_VERSION)
-
     if args.probe_command == "record":
         if args.cadence <= 0.0:
             _log.error("--cadence must be positive, got %g", args.cadence)
@@ -947,10 +948,20 @@ def cmd_probe(args: argparse.Namespace) -> int:
             PROBES_FILENAME, "n_probe_records",
         )
 
-    if args.probe_command == "compare":
-        path_a, path_b = args.probes
-        header_a, records_a = read(path_a)
-        header_b, records_b = read(path_b)
+    compare = args.probe_command == "compare"
+    paths = args.probes if compare else [args.probes]
+    try:
+        inputs = [
+            read_jsonl(path, PROBE_KIND, PROBE_SCHEMA_VERSION)
+            for path in paths
+        ]
+    except (OSError, ValueError) as exc:
+        _log.error("%s", exc)
+        return 2
+
+    if compare:
+        path_a, path_b = paths
+        (header_a, records_a), (header_b, records_b) = inputs
         divergences = []
         if header_a != header_b:
             divergences.append("headers differ")
@@ -975,7 +986,7 @@ def cmd_probe(args: argparse.Namespace) -> int:
         print(json.dumps(report, indent=2, sort_keys=True))
         return 0 if not divergences else 1
 
-    _, records = read(args.probes)
+    _, records = inputs[0]
 
     if args.probe_command == "summary":
         print(json.dumps(summarize_probes(records), indent=2, sort_keys=True))

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 #: paper anchor: submissions/second (and cancellations/second) at q=0
 PAPER_THROUGHPUT_EMPTY = 11.0
@@ -127,6 +126,8 @@ def fit_throughput_curve(
     paper's Figure 5, or a fresh measurement of a local PBS install) and
     fit the three-parameter exponential.
     """
+    from scipy.optimize import curve_fit
+
     q = np.asarray(queue_sizes, dtype=float)
     t = np.asarray(throughputs, dtype=float)
     if q.size != t.size or q.size < 3:

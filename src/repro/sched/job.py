@@ -41,7 +41,7 @@ def reset_request_ids() -> None:
     _request_ids = itertools.count()
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class Request:
     """One copy of a job in one batch queue.
 
@@ -49,6 +49,9 @@ class Request:
     the scheduler hot paths are attribute-bound, so the layout matters:
     ``slots=True`` removes the per-instance dict, shrinking requests and
     speeding up every attribute access in submit/cancel/pass loops.
+    ``eq=False`` keeps identity equality (and the identity hash): every
+    request is a distinct copy, and ``running.remove`` would otherwise
+    compare field by field against each request it passes over.
 
     Parameters
     ----------

@@ -99,6 +99,14 @@ class TestCopySpec:
         assert c.request_id != r.request_id
         assert c.state is RequestState.CREATED
 
+    def test_requests_compare_by_identity(self):
+        r = make_request()
+        twin = r.copy_spec()
+        twin.request_id = r.request_id
+        assert twin != r
+        assert r == r
+        assert len({r, twin}) == 2
+
     def test_copy_overrides(self):
         r = make_request(requested=10.0)
         c = r.copy_spec(requested_time=15.0)

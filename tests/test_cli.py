@@ -267,6 +267,35 @@ def test_record_rejects_bad_grid_flag(command, flag, value, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("bad", ["missing", "empty", "foreign"])
+@pytest.mark.parametrize("argv", [
+    ["trace", "summary", "{bad}"],
+    ["trace", "filter", "{bad}"],
+    ["trace", "export-chrome", "{bad}", "--out", "{out}"],
+    ["probe", "summary", "{bad}"],
+    ["probe", "plot-ascii", "{bad}"],
+    ["probe", "compare", "{good}", "{bad}"],
+    ["probe", "export-chrome", "{bad}", "--out", "{out}"],
+], ids=lambda argv: " ".join(argv[:2]))
+def test_reader_rejects_bad_input(argv, bad, tmp_path, capsys):
+    """A missing, empty or foreign input is one ERROR line and exit 2."""
+    paths = {
+        "bad": tmp_path / f"{bad}.jsonl",
+        "good": tmp_path / "good.jsonl",
+        "out": tmp_path / "out.json",
+    }
+    paths["good"].write_text('{"kind": "repro-probes", "schema": 1}\n')
+    if bad == "empty":
+        paths["bad"].write_text("")
+    elif bad == "foreign":
+        paths["bad"].write_text('{"a": 1}\n')
+    assert main(["-q"] + [arg.format(**paths) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    assert not paths["out"].exists()
+
+
 class TestBenchCommand:
     def test_bench_payload_keys(self, capsys):
         assert main(["-q", "bench", "--replications", "1",

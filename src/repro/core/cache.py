@@ -101,6 +101,23 @@ class CacheStats:
         return f"CacheStats({self.as_dict()})"
 
 
+def write_atomic(path: Path, data: bytes) -> None:
+    """Publish ``data`` at ``path`` whole: a reader sees the old file or
+    the new one, never a torn one (temp file, then ``os.replace``)."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+
+
 class ResultCache:
     """Two-layer (memory + optional disk) cache of experiment results.
 
@@ -258,7 +275,6 @@ class ResultCache:
 
     def _disk_put(self, fp: str, replication: int, result: ExperimentResult) -> None:
         path = self._path(fp, replication)
-        path.parent.mkdir(parents=True, exist_ok=True)
         payload = {
             "schema": CACHE_SCHEMA_VERSION,
             "fingerprint": fp,
@@ -267,17 +283,9 @@ class ResultCache:
         }
         # Atomic publish: concurrent writers of the same key race
         # harmlessly (identical content), readers never see a torn file.
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                pickle.dump(payload, fh, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        write_atomic(
+            path, pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+        )
 
     def _discard(self, path: Path) -> None:
         self.stats.discarded += 1

@@ -1,4 +1,4 @@
-"""Pluggable sweep executors behind one protocol.
+"""Pluggable sweep executors behind one protocol, plus the work queue.
 
 An executor owns *how* grid tasks run; the
 :class:`~repro.core.orchestrator.Orchestrator` owns *what* runs and
@@ -12,10 +12,13 @@ reassembly are identical across all of them:
   calling process with per-task retry-once semantics;
 * :class:`PoolExecutor` — one persistent ``ProcessPoolExecutor`` for
   the whole grid, chunk-retry on task failure and a fresh-pool retry
-  on a worker crash;
-* :class:`WorkQueueExecutor` — chunks are leased to remote workers
-  (``repro worker`` over HTTP via ``repro serve``) with heartbeat
-  renewal and lease-expiry requeue.
+  on a worker crash.
+
+The work queue is not an executor: it computes nothing and holds no
+thread.  A :class:`ChunkQueue` leases chunks to remote workers
+(``repro worker`` over HTTP via ``repro serve``) with heartbeat
+renewal and lease-expiry requeue, and :func:`settle` feeds what they
+deliver to the same orchestrator surface.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ if TYPE_CHECKING:
 
 from .inprocess import InProcessExecutor
 from .pool import PoolExecutor
-from .workqueue import ChunkLease, ChunkQueue, WorkQueueExecutor
+from .workqueue import ChunkLease, ChunkQueue, settle
 
 __all__ = [
     "Executor",
@@ -35,7 +38,7 @@ __all__ = [
     "PoolExecutor",
     "ChunkLease",
     "ChunkQueue",
-    "WorkQueueExecutor",
+    "settle",
 ]
 
 

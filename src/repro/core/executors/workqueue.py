@@ -1,7 +1,7 @@
-"""Work-queue executor: lease chunks to remote workers over HTTP.
+"""The work queue: chunks leased to remote workers over HTTP.
 
-The queue is the rendezvous between an orchestrator (running inside
-``repro serve``) and any number of ``repro worker`` processes:
+The queue is the rendezvous between an orchestrator (held by ``repro
+serve``) and any number of ``repro worker`` processes:
 
 * a worker **leases** the next open chunk — it receives the task list,
   the config payloads and a lease token, and the chunk stops being
@@ -15,21 +15,19 @@ The queue is the rendezvous between an orchestrator (running inside
   original worker was slow, not dead) yields identical results and the
   orchestrator's idempotent ``record`` drops the duplicate.
 
-A chunk that expires :data:`DEFAULT_MAX_ATTEMPTS` times is declared
-failed and the executor raises
-:class:`~repro.core.orchestrator.TaskError` naming its first task —
-mirroring the process-pool executor's give-up semantics.
+A work-queue sweep holds no thread.  :func:`settle` is its whole
+orchestrator-side step: whoever changes the queue calls it afterwards,
+and it records the delivered results, raises
+:class:`~repro.core.orchestrator.TaskError` for a chunk that has used
+up :data:`DEFAULT_MAX_ATTEMPTS` leases (naming its first task, like the
+process-pool executor's give-up), and says when the sweep is drained.
 
-The executor's thread does not poll: it sleeps on the queue's
-condition until a lease, completion, failure, expiry or cancel changes
-something, or until the earliest lease deadline falls due.
-
-Time is injected (``clock``) so tests drive lease expiry
+Expiry is lazy: a lease past its deadline is requeued by the next
+:meth:`ChunkQueue.lease` or :meth:`ChunkQueue.expire` call, not at the
+deadline.  Time is injected (``clock``) so tests drive it
 deterministically; the default is ``time.monotonic``, which never
 influences results — only *which worker* computes a chunk, and the
-results are worker-invariant by construction.  A fake clock's expiries
-surface on the next queue call: ``lease`` expires due leases first and
-wakes the executor.
+results are worker-invariant by construction.
 """
 
 from __future__ import annotations
@@ -78,11 +76,9 @@ class ChunkQueue:
     """Thread-safe lease queue over a fixed set of chunks.
 
     The queue tracks chunk state only (open / leased / done / failed);
-    completed results are buffered for the executor to drain and feed
+    completed results are buffered for :func:`settle` to drain and feed
     the orchestrator.  All methods are safe to call from HTTP handler
-    threads concurrently with the executor's thread, which sleeps in
-    :meth:`wait` until a lease, completion, failure, expiry or
-    :meth:`wake` changes the queue.
+    threads concurrently with the thread that settles the queue.
     """
 
     def __init__(
@@ -100,10 +96,6 @@ class ChunkQueue:
         self.max_attempts = max_attempts
         self._clock = clock
         self._lock = threading.Lock()
-        #: notified, with ``_version`` bumped, on every state change the
-        #: executor must react to; shares ``_lock``
-        self._changed = threading.Condition(self._lock)
-        self._version = 0
         self._chunks = {cid: list(tasks) for cid, tasks in chunks.items()}
         self._open = sorted(self._chunks)
         #: chunk_id -> (token, deadline, worker_id, attempt)
@@ -131,7 +123,6 @@ class ChunkQueue:
             self._attempts[cid] = attempt
             deadline = self._clock() + self.lease_ttl_s
             self._leased[cid] = (token, deadline, worker_id, attempt)
-            self._changed_locked()
             _log.debug(
                 "leased chunk %d to %s (token %d, attempt %d)",
                 cid, worker_id, token, attempt,
@@ -180,7 +171,6 @@ class ChunkQueue:
             self._failed.pop(chunk_id, None)
             self._done.add(chunk_id)
             self._completed_buffer.append((chunk_id, list(results)))
-            self._changed_locked()
             return fresh
 
     def fail(self, chunk_id: int, token: int, cause: str) -> bool:
@@ -200,10 +190,9 @@ class ChunkQueue:
             else:
                 self._open.append(chunk_id)
                 self._open.sort()
-            self._changed_locked()
             return True
 
-    # -- executor-facing surface ----------------------------------------
+    # -- settling surface -----------------------------------------------
 
     def expire(self) -> list[int]:
         """Requeue every lease past its deadline; return their ids."""
@@ -227,46 +216,7 @@ class ChunkQueue:
             else:
                 self._open.append(cid)
                 self._open.sort()
-        if expired:
-            self._changed_locked()
         return expired
-
-    def _changed_locked(self) -> None:
-        self._version += 1
-        self._changed.notify_all()
-
-    def wake(self) -> None:
-        """Wake :meth:`wait` from outside the queue (e.g. a cancel)."""
-        with self._lock:
-            self._changed_locked()
-
-    def version(self) -> int:
-        """Change counter to hand to :meth:`wait`."""
-        with self._lock:
-            return self._version
-
-    def wait(self, seen: int) -> int:
-        """Sleep until the queue changes after ``seen``; return the new
-        counter.
-
-        Returns at once if a change already landed since ``seen`` was
-        read, and otherwise no later than the earliest lease deadline,
-        so an expiry is never slept through.  With nothing leased the
-        wait has no timeout.
-        """
-        with self._lock:
-            while self._version == seen:
-                if self._leased:
-                    timeout = min(
-                        deadline for _, deadline, _, _
-                        in self._leased.values()
-                    ) - self._clock()
-                    if timeout <= 0:
-                        break
-                else:
-                    timeout = None
-                self._changed.wait(timeout)
-            return self._version
 
     def drain_completed(
         self,
@@ -302,67 +252,26 @@ class ChunkQueue:
             }
 
 
-class WorkQueueExecutor:
-    """Serve pending chunks through a :class:`ChunkQueue` until drained.
+def settle(queue: ChunkQueue, orchestrator: "Orchestrator") -> bool:
+    """Feed ``queue``'s news to ``orchestrator``; True once it is drained.
 
-    The executor itself computes nothing: its thread sleeps until the
-    queue changes (or the earliest lease falls due, or the sweep is
-    cancelled), then feeds completed results into the orchestrator,
-    requeues expired leases, and gives up (raising :class:`TaskError`)
-    once a chunk exhausts its attempt budget.  Workers reach the queue
-    through whatever transport wraps it — the HTTP routes of ``repro
-    serve``, or direct method calls in tests.
+    Requeues expired leases, records every buffered completion, and
+    raises :class:`TaskError` once a chunk has used up its attempts.
+    Never blocks: call it again after anything changes the queue.
     """
-
-    name = "work-queue"
-
-    def __init__(
-        self,
-        lease_ttl_s: float = DEFAULT_LEASE_TTL_S,
-        max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-        clock: Callable[[], float] = time.monotonic,
-        on_queue_ready: Optional[Callable[[ChunkQueue], None]] = None,
-    ) -> None:
-        self.lease_ttl_s = lease_ttl_s
-        self.max_attempts = max_attempts
-        self._clock = clock
-        self._on_queue_ready = on_queue_ready
-        self.queue: Optional[ChunkQueue] = None
-
-    def execute(self, orchestrator: "Orchestrator") -> None:
-        queue = ChunkQueue(
-            orchestrator.pending_chunks(),
-            lease_ttl_s=self.lease_ttl_s,
-            max_attempts=self.max_attempts,
-            clock=self._clock,
+    queue.expire()
+    # Read before the drain: a chunk turns done and buffers its results
+    # in one locked step, so when none is outstanding here the drain
+    # below collects every result.
+    drained = queue.outstanding() == 0
+    for cid, results in queue.drain_completed():
+        orchestrator.complete_chunk(cid, results)
+    failed = queue.first_failed()
+    if failed is not None:
+        cid, (ci, rep), attempts = failed
+        raise TaskError(
+            orchestrator.unique[ci].describe(), rep,
+            f"chunk {cid} exhausted {attempts} lease "
+            f"attempt(s) on the work queue",
         )
-        self.queue = queue
-        if self._on_queue_ready is not None:
-            # Publish the queue (e.g. into the service's routing table)
-            # only once it is fully constructed.
-            self._on_queue_ready(queue)
-        try:
-            with orchestrator.cancel_waker(queue.wake):
-                seen = queue.version()
-                while True:
-                    queue.expire()
-                    for cid, results in queue.drain_completed():
-                        orchestrator.complete_chunk(cid, results)
-                    failed = queue.first_failed()
-                    if failed is not None:
-                        cid, (ci, rep), attempts = failed
-                        raise TaskError(
-                            orchestrator.unique[ci].describe(), rep,
-                            f"chunk {cid} exhausted {attempts} lease "
-                            f"attempt(s) on the work queue",
-                        )
-                    if queue.outstanding() == 0:
-                        break
-                    orchestrator.check_cancelled()
-                    seen = queue.wait(seen)
-            # One final drain: a completion can land between the last
-            # drain and the outstanding()==0 check.
-            for cid, results in queue.drain_completed():
-                orchestrator.complete_chunk(cid, results)
-        finally:
-            self.queue = None
+    return drained

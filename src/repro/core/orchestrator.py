@@ -41,12 +41,11 @@ from __future__ import annotations
 # heartbeat ETA; task results are keyed and reassembled by
 # (config, replication), never by host time
 
-import contextlib
 import logging
 import math
 import threading
 import time
-from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 if TYPE_CHECKING:  # typing-only: obs imports core at runtime
     from ..obs.manifest import RunJournal
@@ -297,8 +296,6 @@ class Orchestrator:
         #: cooperative cancellation flag; executors check it between
         #: tasks/chunks and raise :class:`SweepCancelled`
         self.abort = threading.Event()
-        #: callbacks :meth:`cancel` runs to rouse sleeping executors
-        self._wakers: list[Callable[[], None]] = []
 
         # Deduplicate the grid (frozen dataclasses hash by content).
         self.unique: list[ExperimentConfig] = []
@@ -507,16 +504,22 @@ class Orchestrator:
 
     def execute(self, executor: "Executor") -> list[list[ExperimentResult]]:
         """Run every pending chunk on ``executor``; return the grid."""
+        if self.begin(executor.name):
+            executor.execute(self)
+        return self.assemble()
+
+    def begin(self, executor: str) -> bool:
+        """Prepare; if any chunk is pending, journal who will run it.
+
+        Returns whether there is work to hand out: a grid the cache
+        fully resolved goes straight to :meth:`assemble`.
+        """
         self.prepare()
         with self._lock:
             has_pending = bool(self._open_chunks)
-        if has_pending:
-            if self.journal is not None:
-                self.journal.append({
-                    "event": "execute", "executor": executor.name,
-                })
-            executor.execute(self)
-        return self.assemble()
+        if has_pending and self.journal is not None:
+            self.journal.append({"event": "execute", "executor": executor})
+        return has_pending
 
     def assemble(self) -> list[list[ExperimentResult]]:
         """Deterministic reassembly in (config, replication) order.
@@ -558,26 +561,6 @@ class Orchestrator:
     def cancel(self) -> None:
         """Request cooperative cancellation (executors check the flag)."""
         self.abort.set()
-        with self._lock:
-            wakers = list(self._wakers)
-        for wake in wakers:
-            wake()
-
-    @contextlib.contextmanager
-    def cancel_waker(self, wake: Callable[[], None]) -> Iterator[None]:
-        """Have :meth:`cancel` call ``wake`` while the block runs.
-
-        For an executor that sleeps until woken: it registers before
-        its first :meth:`check_cancelled`, so a cancel either sets the
-        flag before that check or finds the waker registered.
-        """
-        with self._lock:
-            self._wakers.append(wake)
-        try:
-            yield
-        finally:
-            with self._lock:
-                self._wakers.remove(wake)
 
     def check_cancelled(self) -> None:
         """Raise :class:`SweepCancelled` if cancellation was requested."""

@@ -21,7 +21,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
-from ..core.cache import CACHE_SCHEMA_VERSION, config_fingerprint
+from ..core.cache import (
+    CACHE_SCHEMA_VERSION,
+    config_fingerprint,
+    write_atomic,
+)
 from ..core.config import ExperimentConfig
 from ..core.results import plain
 from .stream import ONLINE_SCHEMA_VERSION
@@ -78,7 +82,7 @@ class RunManifest:
 
     def write(self, path: Union[str, Path]) -> Path:
         path = Path(path)
-        path.write_text(self.to_json() + "\n", encoding="utf-8")
+        write_atomic(path, (self.to_json() + "\n").encode("utf-8"))
         return path
 
     @classmethod

@@ -228,14 +228,15 @@ def read_jsonl(
     """Load a JSONL file of ``kind``; returns ``(header, records)``.
 
     Raises ``ValueError`` naming the expected kind on an empty file, a
-    foreign header or another schema version: failing loudly beats
-    misreading someone else's JSONL.
+    foreign header or another schema version, and naming the path and
+    the 1-based line number on a line that is not JSON: failing loudly
+    beats misreading someone else's JSONL.
     """
     with open(path, "r", encoding="utf-8") as fh:
         first = fh.readline()
         if not first.strip():
             raise ValueError(f"{path}: empty file, expected {kind}")
-        header = json.loads(first)
+        header = _parse_line(path, 1, first)
         if not isinstance(header, dict) or header.get("kind") != kind:
             raise ValueError(f"{path}: not a {kind} file (bad header)")
         if header.get("schema") != schema:
@@ -243,8 +244,21 @@ def read_jsonl(
                 f"{path}: unsupported {kind} schema {header.get('schema')!r} "
                 f"(this build reads {schema})"
             )
-        records = [json.loads(line) for line in fh if line.strip()]
+        records = [
+            _parse_line(path, lineno, line)
+            for lineno, line in enumerate(fh, start=2) if line.strip()
+        ]
     return header, records
+
+
+def _parse_line(path: Union[str, Path], lineno: int, line: str) -> Any:
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValueError(
+            f"{path}: line {lineno} is not JSON "
+            f"({exc.msg} at column {exc.colno})"
+        ) from None
 
 
 # -- querying -------------------------------------------------------------

@@ -4,10 +4,10 @@ The service layer turns the :class:`~repro.core.orchestrator.Orchestrator`
 into a long-running system: ``repro serve`` hosts a small stdlib-only
 HTTP API (:mod:`repro.service.server`) over ``http.server``
 (:mod:`repro.service.http`); sweeps are submitted as jobs
-(:mod:`repro.service.jobs`), executed on any of the core executors —
-including the work-queue executor, whose chunks are leased to
-``repro worker`` processes (:mod:`repro.service.worker`) — and polled,
-fetched or cancelled through :mod:`repro.service.client`.
+(:mod:`repro.service.jobs`), executed on a core executor or through
+the work queue, whose chunks are leased to ``repro worker`` processes
+(:mod:`repro.service.worker`), and polled, fetched or cancelled
+through :mod:`repro.service.client`.
 
 Durability model: each job persists its spec, a
 :class:`~repro.obs.manifest.RunJournal`, its manifest and its canonical

@@ -32,15 +32,13 @@ from __future__ import annotations
 import base64
 import dataclasses
 import json
-import os
 import pickle
-import tempfile
 import threading
 from pathlib import Path
 from typing import Any, Optional, Sequence, Union
 
 from ..contracts import declared_pure
-from ..core.cache import ResultCache
+from ..core.cache import ResultCache, write_atomic
 from ..core.config import ExperimentConfig, config_from_dict
 from ..core.results import ExperimentResult, plain
 from ..validation import check_int, check_number
@@ -204,20 +202,9 @@ class JobSpec:
 
 
 def _write_json_atomic(path: Path, payload: object) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=2,
+    text = json.dumps(payload, sort_keys=True, indent=2,
                       default=_json_default)
-            fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    write_atomic(path, (text + "\n").encode("utf-8"))
 
 
 class JobStore:
@@ -322,22 +309,11 @@ class JobStore:
         path = self.results_path(job_id)
         # Canonical single-line JSON so `diff` against a locally
         # computed payload is byte-exact.
-        path.parent.mkdir(parents=True, exist_ok=True)
         text = json.dumps(
             payload, sort_keys=True, separators=(",", ":"),
             default=_json_default,
         )
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        write_atomic(path, (text + "\n").encode("utf-8"))
         return path
 
     def read_results(self, job_id: str) -> Optional[bytes]:

@@ -1,8 +1,8 @@
 """``repro serve``: the sweep service tying orchestrator to HTTP.
 
 One :class:`SweepService` owns a :class:`~repro.service.jobs.JobStore`,
-runs each submitted job's orchestrator on a daemon thread, and exposes
-the control API:
+runs each in-process or pool job on a thread of its own, parks each
+work-queue job without one, and exposes the control API:
 
 ==========  =================================  =============================
 method      path                               purpose
@@ -24,6 +24,11 @@ hit-rate and the streaming p50/p99 stretch the heartbeat accumulates
 from each result's online-metrics payload — plus the chunk queue's
 lease state for work-queue jobs.
 
+The queue routes touch only a job's in-memory :class:`ChunkQueue`;
+every orchestrator-side step of every work-queue job runs on one
+shared step thread.  Expired leases are requeued lazily, by the next
+lease, status or list request.
+
 At startup the service re-launches every job left ``pending`` or
 ``running`` by a previous process: the rebuilt orchestrator resolves
 all completed work from the shared disk cache, so a killed server (or
@@ -35,16 +40,13 @@ from __future__ import annotations
 import logging
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
-from ..core.executors import (
-    InProcessExecutor,
-    PoolExecutor,
-    WorkQueueExecutor,
-)
-from ..core.executors.workqueue import ChunkQueue
+from ..core.executors import ChunkQueue, InProcessExecutor, PoolExecutor, settle
 from ..core.orchestrator import Orchestrator, SweepCancelled, TaskError
+from ..core.results import ExperimentResult
 from ..obs.manifest import RunJournal, build_manifest
 from .http import (
     BackgroundServer,
@@ -63,19 +65,23 @@ from .jobs import (
 
 _log = logging.getLogger("repro.service.server")
 
+Grids = list[list[ExperimentResult]]
+
 
 class _JobRuntime:
-    """In-memory handle on one executing job."""
+    """In-memory handle on one live job."""
 
     def __init__(self, job_id: str, spec: JobSpec) -> None:
         self.job_id = job_id
         self.spec = spec
+        self.journal: Optional[RunJournal] = None
         self.orchestrator: Optional[Orchestrator] = None
         #: a cancel that arrived before ``orchestrator`` was published;
         #: guarded, like ``orchestrator``, by the service lock
         self.cancel_requested = False
         self.queue: Optional[ChunkQueue] = None
-        self.thread: Optional[threading.Thread] = None
+        #: when the start step handed the grid over (manifest wall time)
+        self.t0 = 0.0
         self.done = threading.Event()
 
 
@@ -94,6 +100,10 @@ class SweepService:
         self._running: dict[str, _JobRuntime] = {}
         self._lock = threading.Lock()
         self._http: Optional[BackgroundServer] = None
+        #: the one thread every work-queue job's steps run on, in order
+        self._steps = ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix="repro-steps",
+        )
         self.router = Router()
         self.router.add("GET", "/healthz", self._route_health)
         self.router.add("POST", "/v1/jobs", self._route_submit)
@@ -128,9 +138,11 @@ class SweepService:
         return self.port
 
     def stop(self) -> None:
+        """Stop serving, then end the step thread once its queue drains."""
         if self._http is not None:
             self._http.stop()
             self._http = None
+        self._steps.shutdown()
 
     def wait_idle(self, timeout: float = 60.0) -> bool:
         """Block until no job is executing (tests/shutdown helper)."""
@@ -180,35 +192,51 @@ class SweepService:
         runtime = _JobRuntime(job_id, spec)
         with self._lock:
             self._running[job_id] = runtime
-        thread = threading.Thread(
-            target=self._run_job, args=(runtime,),
-            name=f"repro-{job_id}", daemon=True,
-        )
-        runtime.thread = thread
-        thread.start()
-
-    def _make_executor(
-        self, runtime: _JobRuntime,
-    ) -> Union[InProcessExecutor, PoolExecutor, WorkQueueExecutor]:
-        spec = runtime.spec
-        if spec.executor == "pool":
-            return PoolExecutor(n_workers=spec.n_workers)
         if spec.executor == "workqueue":
-            def publish(queue: ChunkQueue) -> None:
-                runtime.queue = queue
+            self._steps.submit(self._step, runtime, self._start_queue)
+        else:
+            threading.Thread(
+                target=self._step, args=(runtime, self._compute),
+                name=f"repro-{job_id}", daemon=True,
+            ).start()
 
-            return WorkQueueExecutor(
-                lease_ttl_s=spec.lease_ttl_s,
-                max_attempts=spec.max_attempts,
-                on_queue_ready=publish,
-            )
-        return InProcessExecutor()
+    def _step(
+        self, runtime: _JobRuntime,
+        body: Callable[[_JobRuntime], Optional[Grids]],
+    ) -> None:
+        """Run one step of a job; finish the job if it returns the grid.
 
-    def _run_job(self, runtime: _JobRuntime) -> None:
+        A step that returns None leaves the job parked.  This is the one
+        place a job's failure is turned into its persisted state.
+        """
+        if runtime.done.is_set():
+            return  # queued behind the step that ended the job
+        job_id = runtime.job_id
+        try:
+            grids = body(runtime)
+            if grids is not None:
+                self._finish(runtime, grids)
+        except SweepCancelled:
+            _log.info("job %s cancelled", job_id)
+            self._end(runtime, "cancelled", {})
+        except TaskError as err:
+            _log.error("job %s failed: %s", job_id, err)
+            self._end(runtime, "failed", {"error": str(err)}, error=str(err))
+        except Exception as exc:  # repro-lint: disable=EXC001 -- job
+            # thread boundary: an escaping exception must land in the
+            # persisted status (clients poll it), not die silently on a
+            # job or step thread
+            _log.exception("job %s crashed", job_id)
+            self._end(runtime, "failed", {"error": repr(exc)},
+                      error=repr(exc))
+
+    def _start(self, runtime: _JobRuntime) -> Orchestrator:
+        """Mark the job running and publish its orchestrator."""
         job_id, spec = runtime.job_id, runtime.spec
-        jdir = self.store.job_dir(job_id)
         self.store.write_status(job_id, "running", executor=spec.executor)
-        journal = RunJournal(jdir / "journal.jsonl")
+        runtime.journal = RunJournal(
+            self.store.job_dir(job_id) / "journal.jsonl"
+        )
         orchestrator = Orchestrator(
             list(spec.configs),
             spec.n_replications,
@@ -216,62 +244,99 @@ class SweepService:
             cache=self.store.cache(),
             chunksize=spec.chunksize,
             n_workers=spec.n_workers,
-            journal=journal,
+            journal=runtime.journal,
         )
         with self._lock:
             runtime.orchestrator = orchestrator
             cancel_requested = runtime.cancel_requested
         if cancel_requested:
             orchestrator.cancel()
-        executor = self._make_executor(runtime)
-        t0 = time.perf_counter()
+        runtime.t0 = time.perf_counter()
+        return orchestrator
+
+    def _compute(self, runtime: _JobRuntime) -> Grids:
+        """An in-process or pool job, start to grid, on its own thread."""
+        orchestrator = self._start(runtime)
+        if runtime.spec.executor == "pool":
+            return orchestrator.execute(
+                PoolExecutor(n_workers=runtime.spec.n_workers)
+            )
+        return orchestrator.execute(InProcessExecutor())
+
+    def _start_queue(self, runtime: _JobRuntime) -> Optional[Grids]:
+        """A work-queue job's start step: open its chunks to workers."""
+        orchestrator = self._start(runtime)
+        if orchestrator.begin("work-queue"):
+            queue = ChunkQueue(
+                orchestrator.pending_chunks(),
+                lease_ttl_s=runtime.spec.lease_ttl_s,
+                max_attempts=runtime.spec.max_attempts,
+            )
+            with self._lock:
+                runtime.queue = queue
+        return self._settle(runtime)
+
+    def _settle(self, runtime: _JobRuntime) -> Optional[Grids]:
+        """A work-queue job's step after its queue changed or a cancel."""
+        orchestrator = runtime.orchestrator
+        assert orchestrator is not None, "the start step runs first"
+        if runtime.queue is None or settle(runtime.queue, orchestrator):
+            return orchestrator.assemble()
+        orchestrator.check_cancelled()
+        return None
+
+    def _finish(self, runtime: _JobRuntime, grids: Grids) -> None:
+        """Write results, manifest, the ``done`` record and the status."""
+        job_id, spec = runtime.job_id, runtime.spec
+        assert runtime.orchestrator is not None
+        total = runtime.orchestrator.total
+        t1 = time.perf_counter()
+        self.store.write_results(job_id, canonical_grid_payload(grids))
+        # building + writing results.json, after wall_time_s stops
+        results_s = time.perf_counter() - t1
+        build_manifest(
+            list(spec.configs),
+            spec.n_replications,
+            first_replication=spec.first_replication,
+            n_workers=spec.n_workers,
+            wall_time_s=t1 - runtime.t0,
+            extra={
+                "job_id": job_id,
+                "executor": spec.executor,
+                "service": True,
+                "results_s": results_s,
+            },
+        ).write(self.store.job_dir(job_id) / "manifest.json")
+        self._end(runtime, "done", {"total": total, "results_s": results_s},
+                  executor=spec.executor, total=total)
+
+    def _end(
+        self, runtime: _JobRuntime, state: str, record: dict,
+        **status: object,
+    ) -> None:
+        """Journal and persist a terminal ``state``; retire the job."""
         try:
-            grids = orchestrator.execute(executor)
-        except SweepCancelled:
-            _log.info("job %s cancelled", job_id)
-            journal.append({"event": "cancelled"})
-            self.store.write_status(job_id, "cancelled")
-        except TaskError as err:
-            _log.error("job %s failed: %s", job_id, err)
-            journal.append({"event": "failed", "error": str(err)})
-            self.store.write_status(job_id, "failed", error=str(err))
-        except Exception as exc:  # repro-lint: disable=EXC001 -- job
-            # thread boundary: an escaping exception must land in the
-            # persisted status (clients poll it), not die silently on a
-            # daemon thread
-            _log.exception("job %s crashed", job_id)
-            journal.append({"event": "failed", "error": repr(exc)})
-            self.store.write_status(job_id, "failed", error=repr(exc))
-        else:
-            t1 = time.perf_counter()
-            self.store.write_results(
-                job_id, canonical_grid_payload(grids)
-            )
-            # building + writing results.json, after wall_time_s stops
-            results_s = time.perf_counter() - t1
-            build_manifest(
-                list(spec.configs),
-                spec.n_replications,
-                first_replication=spec.first_replication,
-                n_workers=spec.n_workers,
-                wall_time_s=t1 - t0,
-                extra={
-                    "job_id": job_id,
-                    "executor": spec.executor,
-                    "service": True,
-                    "results_s": results_s,
-                },
-            ).write(jdir / "manifest.json")
-            journal.append({"event": "done", "total": orchestrator.total,
-                            "results_s": results_s})
-            self.store.write_status(
-                job_id, "done", executor=spec.executor,
-                total=orchestrator.total,
-            )
+            if runtime.journal is not None:
+                runtime.journal.append({"event": state, **record})
+            self.store.write_status(runtime.job_id, state, **status)
         finally:
             runtime.done.set()
             with self._lock:
-                self._running.pop(job_id, None)
+                self._running.pop(runtime.job_id, None)
+
+    def _expire(self, job_id: str) -> None:
+        """Lazy lease expiry, applied before a status read reports.
+
+        A chunk whose last lease expired fails its job here, on the
+        step thread, before the read goes on.
+        """
+        with self._lock:
+            runtime = self._running.get(job_id)
+        if runtime is None or runtime.queue is None:
+            return
+        runtime.queue.expire()
+        if runtime.queue.first_failed() is not None:
+            self._steps.submit(self._step, runtime, self._settle).result()
 
     # -- routes: jobs ----------------------------------------------------
 
@@ -292,6 +357,7 @@ class SweepService:
     def _route_list(self, request: HttpRequest) -> HttpResponse:
         jobs = []
         for job_id in self.store.job_ids():
+            self._expire(job_id)
             try:
                 jobs.append(self.store.read_status(job_id))
             except (KeyError, ValueError):
@@ -299,6 +365,7 @@ class SweepService:
         return HttpResponse.json({"jobs": jobs})
 
     def _status_payload(self, job_id: str) -> dict:
+        self._expire(job_id)
         try:
             payload = self.store.read_status(job_id)
         except KeyError:
@@ -326,13 +393,17 @@ class SweepService:
         with self._lock:
             runtime = self._running.get(job_id)
             if runtime is not None:
-                # A job thread that has not published its orchestrator
-                # yet picks the request up when it does (_run_job).
+                # A job that has not published its orchestrator yet
+                # picks the request up when it does (_start).
                 runtime.cancel_requested = True
                 orchestrator = runtime.orchestrator
         if runtime is not None:
             if orchestrator is not None:
                 orchestrator.cancel()
+            if runtime.spec.executor == "workqueue":
+                # A parked job's thread-free way to see the flag (the
+                # start step, if still queued, sees cancel_requested).
+                self._steps.submit(self._step, runtime, self._settle)
             return HttpResponse.json({"job_id": job_id, "cancelling": True})
         if status.get("state") in ("pending", "running"):
             # Not executing in this process (e.g. pre-resume window).
@@ -386,7 +457,7 @@ class SweepService:
             })
         return HttpResponse.json({"job_id": None, "lease": None})
 
-    def _queue_for(self, payload: dict) -> tuple[str, ChunkQueue]:
+    def _queue_for(self, payload: dict) -> tuple[_JobRuntime, ChunkQueue]:
         job_id = str(payload.get("job_id", ""))
         with self._lock:
             runtime = self._running.get(job_id)
@@ -394,7 +465,7 @@ class SweepService:
             raise HttpError(
                 404, f"job {job_id!r} has no active work queue"
             )
-        return job_id, runtime.queue
+        return runtime, runtime.queue
 
     @staticmethod
     def _lease_ref(payload: dict) -> tuple[int, int]:
@@ -414,20 +485,23 @@ class SweepService:
 
     def _route_complete(self, request: HttpRequest) -> HttpResponse:
         payload = request.json()
-        _, queue = self._queue_for(payload)
+        runtime, queue = self._queue_for(payload)
         chunk_id, token = self._lease_ref(payload)
         try:
             results = decode_chunk_results(str(payload.get("results", "")))
         except ValueError as exc:
             raise HttpError(400, str(exc)) from exc
         fresh = queue.complete(chunk_id, token, results)
+        self._steps.submit(self._step, runtime, self._settle)
         return HttpResponse.json({"accepted": True, "fresh_lease": fresh})
 
     def _route_fail(self, request: HttpRequest) -> HttpResponse:
         payload = request.json()
-        _, queue = self._queue_for(payload)
+        runtime, queue = self._queue_for(payload)
         chunk_id, token = self._lease_ref(payload)
         ok = queue.fail(
             chunk_id, token, str(payload.get("cause", "unspecified"))
         )
+        if ok:  # the chunk may have used its last attempt
+            self._steps.submit(self._step, runtime, self._settle)
         return HttpResponse.json({"accepted": ok})

@@ -1,28 +1,23 @@
 """Tests for the pluggable executors, centred on the work queue.
 
 The lease protocol is driven with an injected fake clock so expiry is
-deterministic; "workers" here are plain threads calling the queue
-directly (the HTTP transport on top is covered in ``tests/service``).
-The crash-resume tests pin the tentpole guarantee: a dead worker or a
-killed sweep never loses completed work and never recomputes it.
+deterministic, and a work-queue sweep is driven synchronously: a
+"worker" leases and completes chunks on the test's own thread and
+:func:`settle` feeds the orchestrator in between (the service that
+schedules those steps, and the HTTP transport, are covered in
+``tests/service``).  The crash-resume tests pin the tentpole
+guarantee: a dead worker or a killed sweep never loses completed work
+and never recomputes it.
 """
 
 import dataclasses
-import statistics
-import sys
-import threading
-import time
 
 import pytest
 
 from repro.core.cache import ResultCache
 from repro.core.config import ExperimentConfig
-from repro.core.executors import (
-    ChunkQueue,
-    InProcessExecutor,
-    WorkQueueExecutor,
-)
-from repro.core.orchestrator import Orchestrator, SweepCancelled, TaskError
+from repro.core.executors import ChunkQueue, InProcessExecutor, settle
+from repro.core.orchestrator import Orchestrator, TaskError
 
 
 def tiny(**kw):
@@ -149,222 +144,62 @@ class TestChunkQueue:
         }
 
 
-def drain_queue_in_thread(executor, runner, configs, worker_id="w"):
-    """Background 'worker': polls the executor's queue until it drains."""
-
-    def loop():
-        while True:
-            queue = executor.queue
-            if queue is None:
-                return
-            lease = queue.lease(worker_id)
-            if lease is None:
-                if queue.outstanding() == 0:
-                    return
-                continue
-            results = [
-                (ci, rep, runner(configs[ci], rep))
-                for ci, rep in lease.tasks
-            ]
-            queue.complete(lease.chunk_id, lease.token, results)
-
-    thread = threading.Thread(target=loop, daemon=True)
-    return thread
+def open_queue(orch, **kw):
+    """Hand an orchestrator's pending chunks to a fresh work queue."""
+    assert orch.begin("work-queue"), "nothing pending"
+    return ChunkQueue(orch.pending_chunks(), **kw)
 
 
-class TestWorkQueueExecutor:
+def work(queue, orch, runner, worker_id="w"):
+    """One synchronous worker: settle, lease, compute until drained."""
+    while not settle(queue, orch):
+        lease = queue.lease(worker_id)
+        assert lease is not None, "work outstanding but none to lease"
+        queue.complete(lease.chunk_id, lease.token, [
+            (ci, rep, runner(orch.unique[ci], rep))
+            for ci, rep in lease.tasks
+        ])
+    return orch.assemble()
+
+
+class TestSettle:
     def test_grid_matches_inprocess(self):
         configs = [tiny(), tiny(scheme="R2")]
         serial = Orchestrator(
             configs, 2, runner=fake_runner,
         ).execute(InProcessExecutor())
 
-        executor = WorkQueueExecutor()
         orch = Orchestrator(configs, 2, runner=fake_runner, chunksize=1)
-        orch.prepare()
-        thread = drain_queue_in_thread(executor, fake_runner, orch.unique)
-        # Start the worker only once the queue is published.
-        executor._on_queue_ready = lambda queue: thread.start()
-        queued = orch.execute(executor)
-        thread.join(timeout=10.0)
-        assert queued == serial
+        assert work(open_queue(orch), orch, fake_runner) == serial
+
+    def test_completions_are_recorded_only_when_settled(self):
+        orch = Orchestrator([tiny()], 2, chunksize=1)
+        queue = open_queue(orch)
+        assert settle(queue, orch) is False, "two chunks outstanding"
+        for _ in range(2):
+            lease = queue.lease("w")
+            queue.complete(lease.chunk_id, lease.token, [
+                (ci, rep, fake_runner(orch.unique[ci], rep))
+                for ci, rep in lease.tasks
+            ])
+        assert orch.done == 0, "the queue only buffers deliveries"
+        assert settle(queue, orch) is True
+        assert orch.done == 2
 
     def test_exhausted_chunk_raises_task_error(self):
         clock = FakeClock()
-        executor = WorkQueueExecutor(
-            lease_ttl_s=5.0, max_attempts=2, clock=clock,
-        )
         orch = Orchestrator([tiny()], 1, chunksize=1)
-
-        def doomed_worker(queue):
-            # Lease and abandon: each poll advances the clock past the
-            # TTL, so the lease expires every attempt.
-            def loop():
-                while executor.queue is not None:
-                    lease = queue.lease("doomed")
-                    if lease is None and queue.outstanding() == 0:
-                        return
-                    clock.advance(6.0)
-
-            threading.Thread(target=loop, daemon=True).start()
-
-        executor._on_queue_ready = doomed_worker
-        with pytest.raises(TaskError, match="lease attempt"):
-            orch.execute(executor)
-        assert executor.queue is None, "queue unpublished on exit"
-
-
-
-class TestChunkQueueWait:
-    def test_returns_at_once_after_a_missed_change(self):
-        queue, _ = make_queue(1)
-        seen = queue.version()
-        queue.lease("w")  # lands between the caller's checks and its wait
-        t0 = time.monotonic()
-        assert queue.wait(seen) != seen
-        assert time.monotonic() - t0 < 1.0
-
-    def test_wake_ends_an_untimed_wait(self):
-        queue, _ = make_queue(1)
-        seen = queue.version()
-        threading.Timer(0.05, queue.wake).start()
-        assert queue.wait(seen) == seen + 1
-
-    def test_times_out_at_the_earliest_lease_deadline(self):
-        queue = ChunkQueue({0: [(0, 0)]}, lease_ttl_s=0.1)
-        queue.lease("w")
-        seen = queue.version()
-        t0 = time.monotonic()
-        assert queue.wait(seen) == seen, "a timeout is not a change"
-        assert 0.05 < time.monotonic() - t0 < 5.0
-        assert queue.expire() == [0]
-
-
-class ParkedJob:
-    """A work-queue sweep executing on a background thread."""
-
-    def __init__(self, n_chunks=1, **executor_kw):
-        self.executor = WorkQueueExecutor(**executor_kw)
-        self.orch = Orchestrator(
-            [tiny()], n_chunks, runner=fake_runner, chunksize=1,
+        queue = open_queue(
+            orch, lease_ttl_s=5.0, max_attempts=2, clock=clock,
         )
-        ready = threading.Event()
-        self.executor._on_queue_ready = lambda queue: ready.set()
-        self.outcome = None
-        self.thread = threading.Thread(target=self._run, daemon=True)
-        self.thread.start()
-        assert ready.wait(timeout=10.0), "queue never published"
-        self.queue = self.executor.queue
-
-    def _run(self):
-        try:
-            self.outcome = self.orch.execute(self.executor)
-        except Exception as exc:
-            self.outcome = exc
-
-
-class TestEventDrivenExecutor:
-    """The job thread sleeps until something changes; it never polls."""
-
-    def test_parked_job_does_not_spin(self, monkeypatch):
-        calls = []
-        real = ChunkQueue.expire
-
-        def counting(self):
-            calls.append(time.monotonic())
-            return real(self)
-
-        monkeypatch.setattr(ChunkQueue, "expire", counting)
-        job = ParkedJob()
-        time.sleep(0.5)
-        assert len(calls) <= 2, f"{len(calls)} loop iterations while idle"
-        job.orch.cancel()
-        job.thread.join(timeout=10.0)
-        assert isinstance(job.outcome, SweepCancelled)
-
-    def test_completion_reaches_record_without_a_poll_delay(self):
-        job = ParkedJob(n_chunks=5)
-        recorded = threading.Event()
-        real = job.orch.record
-
-        def record(*args, **kwargs):
-            real(*args, **kwargs)
-            recorded.set()
-
-        job.orch.record = record
-        latencies = []
-        for _ in range(5):
-            lease = job.queue.lease("w")
-            results = [
-                (ci, rep, fake_runner(job.orch.unique[ci], rep))
-                for ci, rep in lease.tasks
-            ]
-            recorded.clear()
-            t0 = time.monotonic()
-            job.queue.complete(lease.chunk_id, lease.token, results)
-            assert recorded.wait(timeout=10.0)
-            latencies.append(time.monotonic() - t0)
-        job.thread.join(timeout=10.0)
-        assert [r.replication for r in job.outcome[0]] == [0, 1, 2, 3, 4]
-        # The retired 50 ms poll put the median near 25 ms.
-        assert statistics.median(latencies) < 0.01, latencies
-
-    def test_cancel_ends_a_parked_job_promptly(self):
-        job = ParkedJob()
-        time.sleep(0.1)  # let the job thread settle into its wait
-        t0 = time.monotonic()
-        job.orch.cancel()
-        job.thread.join(timeout=10.0)
-        assert isinstance(job.outcome, SweepCancelled)
-        assert time.monotonic() - t0 < 1.0
-        assert job.executor.queue is None
-
-    def test_abandoned_lease_expires_on_its_deadline(self):
-        """Nothing touches the queue after the lease: the job thread's
-        own timeout requeues the chunk."""
-        job = ParkedJob(lease_ttl_s=0.1)
-        lease = job.queue.lease("dead")
-        deadline = time.monotonic() + 10.0
-        while job.queue.snapshot()["open"] == 0:
-            assert time.monotonic() < deadline, "lease never expired"
-            time.sleep(0.01)
-        retry = job.queue.lease("live")
-        assert (retry.chunk_id, retry.attempt) == (lease.chunk_id, 2)
-        job.orch.cancel()
-        job.thread.join(timeout=10.0)
-        assert isinstance(job.outcome, SweepCancelled)
-
-    def test_many_workers_never_strand_the_job_thread(self):
-        """A lost wake-up would leave the job thread asleep with every
-        chunk done; a short switch interval makes the race likely."""
-        job = ParkedJob(n_chunks=200)
-        configs = job.orch.unique
-
-        def worker(worker_id):
-            while job.queue.outstanding():
-                lease = job.queue.lease(worker_id)
-                if lease is not None:
-                    job.queue.complete(lease.chunk_id, lease.token, [
-                        (ci, rep, fake_runner(configs[ci], rep))
-                        for ci, rep in lease.tasks
-                    ])
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            workers = [
-                threading.Thread(target=worker, args=(f"w{k}",), daemon=True)
-                for k in range(8)
-            ]
-            for thread in workers:
-                thread.start()
-            for thread in workers:
-                thread.join(timeout=30.0)
-            job.thread.join(timeout=30.0)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not job.thread.is_alive(), "job thread stranded"
-        assert [r.replication for r in job.outcome[0]] == list(range(200))
+        # Lease and abandon: the clock passes the TTL every attempt.
+        queue.lease("doomed")
+        clock.advance(6.0)
+        assert settle(queue, orch) is False, "a second attempt remains"
+        queue.lease("doomed")
+        clock.advance(6.0)
+        with pytest.raises(TaskError, match="lease attempt"):
+            settle(queue, orch)
 
 
 class TestCrashResume:
@@ -372,41 +207,20 @@ class TestCrashResume:
 
     def test_dead_worker_chunk_is_recomputed_elsewhere(self):
         clock = FakeClock()
-        executor = WorkQueueExecutor(
-            lease_ttl_s=5.0, max_attempts=3, clock=clock,
-        )
         orch = Orchestrator([tiny()], 3, runner=fake_runner, chunksize=1)
-        orch.prepare()
+        queue = open_queue(
+            orch, lease_ttl_s=5.0, max_attempts=3, clock=clock,
+        )
         computed = []
 
         def counting_runner(config, replication):
             computed.append(replication)
             return fake_runner(config, replication)
 
-        def workers(queue):
-            def loop():
-                died = False
-                while executor.queue is not None:
-                    lease = queue.lease("w")
-                    if lease is None:
-                        if queue.outstanding() == 0:
-                            return
-                        continue
-                    if not died:
-                        # First lease: the worker "dies" mid-chunk.
-                        died = True
-                        clock.advance(6.0)
-                        continue
-                    results = [
-                        (ci, rep, counting_runner(orch.unique[ci], rep))
-                        for ci, rep in lease.tasks
-                    ]
-                    queue.complete(lease.chunk_id, lease.token, results)
-
-            threading.Thread(target=loop, daemon=True).start()
-
-        executor._on_queue_ready = workers
-        [results] = orch.execute(executor)
+        # The first lease's worker "dies" mid-chunk.
+        assert queue.lease("dead") is not None
+        clock.advance(6.0)
+        [results] = work(queue, orch, counting_runner)
         assert [r.replication for r in results] == [0, 1, 2]
         assert sorted(computed) == [0, 1, 2], (
             "the abandoned chunk was recomputed exactly once"
@@ -475,7 +289,6 @@ class TestCrashResume:
         half = Orchestrator(configs, 2, cache=cache)
         half.execute(InProcessExecutor())  # reps 0..1 land in the cache
 
-        executor = WorkQueueExecutor()
         resumed = Orchestrator(
             configs, 4, cache=ResultCache(tmp_path / "cache"),
             chunksize=1,
@@ -484,12 +297,7 @@ class TestCrashResume:
         assert sum(
             len(c) for c in resumed.pending_chunks().values()
         ) == 2
-        thread = drain_queue_in_thread(
-            executor, run_single, resumed.unique,
-        )
-        executor._on_queue_ready = lambda queue: thread.start()
-        grids = resumed.execute(executor)
-        thread.join(timeout=10.0)
+        grids = work(open_queue(resumed), resumed, run_single)
         assert [strip_wall(r) for r in grids[0]] == [
             strip_wall(r) for r in reference[0]
         ]

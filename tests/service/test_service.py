@@ -9,7 +9,10 @@ instead of recomputing finished work.
 """
 
 import json
+import statistics
+import sys
 import threading
+import time
 
 import pytest
 
@@ -18,9 +21,16 @@ from repro.core.config import ExperimentConfig
 from repro.core.orchestrator import Orchestrator
 from repro.core.executors import InProcessExecutor
 from repro.core.parallel import run_grid
+from repro.core.results import ExperimentResult
 from repro.obs.manifest import RunJournal
 from repro.service.client import ServiceClient, ServiceError
-from repro.service.jobs import JobSpec, JobStore, canonical_grid_json
+from repro.service.http import HttpRequest
+from repro.service.jobs import (
+    JobSpec,
+    JobStore,
+    canonical_grid_json,
+    encode_chunk_results,
+)
 from repro.service.server import SweepService
 from repro.service.worker import QueueWorker
 
@@ -63,6 +73,18 @@ def service(tmp_path):
         svc.stop()
 
 
+def journal_events(svc, job_id):
+    journal = RunJournal(svc.store.job_dir(job_id) / "journal.jsonl")
+    return [e["event"] for e in journal.entries()]
+
+
+#: journal event names of work-queue jobs, as recorded while each job
+#: still ran on a thread of its own
+QUEUE_DONE_4_CHUNKS = ["prepared", "execute"] + ["chunk_done"] * 4 + ["done"]
+QUEUE_CANCELLED = ["prepared", "execute", "cancelled"]
+QUEUE_FAILED = ["prepared", "execute", "failed"]
+
+
 def run_worker(client_url, **kw):
     worker = QueueWorker(client_url, poll_interval_s=0.05)
     kw.setdefault("max_idle_polls", 100)
@@ -89,9 +111,7 @@ class TestJobLifecycle:
         # The manifest and journal landed next to the results.
         jdir = svc.store.job_dir(job_id)
         assert (jdir / "manifest.json").is_file()
-        events = [
-            e["event"] for e in RunJournal(jdir / "journal.jsonl").entries()
-        ]
+        events = journal_events(svc, job_id)
         assert events[0] == "prepared" and events[-1] == "done"
 
     def test_results_time_is_journalled_and_in_the_manifest(self, service):
@@ -118,6 +138,7 @@ class TestJobLifecycle:
         thread.join(timeout=30.0)
         assert status["state"] == "done"
         assert client.results_bytes(job_id) == reference_json(job_spec)
+        assert journal_events(svc, job_id) == QUEUE_DONE_4_CHUNKS
 
     def test_second_submission_is_fully_cached(self, service):
         """Jobs share the state dir's disk cache: a repeat submission
@@ -170,7 +191,7 @@ class TestJobLifecycle:
         assert err.value.status == 404
 
     def test_cancel_workqueue_job_without_workers(self, service):
-        _, client = service
+        svc, client = service
         job_id = client.submit(
             spec(executor="workqueue", lease_ttl_s=60.0).to_dict()
         )
@@ -181,6 +202,7 @@ class TestJobLifecycle:
         with pytest.raises(ServiceError) as err:
             client.results_bytes(job_id)
         assert err.value.status == 404
+        assert journal_events(svc, job_id) == QUEUE_CANCELLED
 
     def test_cancel_before_the_job_thread_builds_its_orchestrator(
         self, service, monkeypatch
@@ -328,3 +350,170 @@ class TestResume:
         finally:
             svc.wait_idle(timeout=30.0)
             svc.stop()
+
+
+def route(svc, method, path, payload=None):
+    """Call a route in-process, without a socket; the JSON reply."""
+    body = json.dumps(payload).encode("utf-8") if payload is not None else b""
+    response = svc.handle(HttpRequest(method, path, {}, body))
+    assert response.status == 200, response.body
+    return json.loads(response.body)
+
+
+def fake_result(replication):
+    return ExperimentResult(
+        scheme="NONE", algorithm="easy", n_clusters=2,
+        replication=replication,
+    )
+
+
+def deliver(svc, granted):
+    """Complete a granted lease with fake results for its tasks."""
+    lease = granted["lease"]
+    results = [(ci, rep, fake_result(rep)) for ci, rep in lease["tasks"]]
+    return route(svc, "POST", "/v1/queue/complete", {
+        "job_id": granted["job_id"],
+        "chunk_id": lease["chunk_id"],
+        "token": lease["token"],
+        "results": encode_chunk_results(results),
+    })
+
+
+@pytest.fixture
+def parked(tmp_path):
+    """A service that is never bound to a socket: routes are called
+    in-process, so the only thread it adds is its step thread."""
+    svc = SweepService(tmp_path / "state", port=0)
+    try:
+        yield svc
+    finally:
+        svc.stop()
+
+
+def park(svc, **kw):
+    """Submit a work-queue job and wait until its queue is open."""
+    kw.setdefault("configs", (tiny(),))
+    kw.setdefault("n_replications", 1)
+    job_id = svc.submit(spec(executor="workqueue", chunksize=1, **kw))
+    deadline = time.monotonic() + 30.0
+    while "queue" not in route(svc, "GET", f"/v1/jobs/{job_id}"):
+        assert time.monotonic() < deadline, "the start step never ran"
+        time.sleep(0.005)
+    return job_id
+
+
+def wait_retired(svc, job_id, timeout):
+    """Seconds until ``job_id`` leaves ``_running`` (fails on timeout)."""
+    t0 = time.monotonic()
+    while job_id in svc._running:
+        assert time.monotonic() - t0 < timeout, "the job never ended"
+        time.sleep(0.001)
+    return time.monotonic() - t0
+
+
+class TestParkedJobs:
+    """Work-queue jobs hold no thread: one step thread serves them all."""
+
+    def test_parked_jobs_hold_no_thread(self, parked):
+        before = threading.active_count()
+        for k in range(50):
+            park(parked, first_replication=k)
+        assert threading.active_count() - before <= 2
+
+    def test_stop_ends_the_step_thread(self, parked):
+        before = set(threading.enumerate())
+        park(parked)
+        steps = [
+            t for t in set(threading.enumerate()) - before
+            if t.name.startswith("repro-steps")
+        ]
+        assert len(steps) == 1
+        parked.stop()
+        steps[0].join(timeout=10.0)
+        assert not steps[0].is_alive()
+
+    def test_completion_is_recorded_promptly(self, parked):
+        job_id = park(parked, n_replications=5)
+        orchestrator = parked._running[job_id].orchestrator
+        recorded = threading.Event()
+        real = orchestrator.record
+
+        def record(*args, **kwargs):
+            recorded.set()  # reached: the cache and journal writes follow
+            real(*args, **kwargs)
+
+        orchestrator.record = record
+        latencies = []
+        for _ in range(5):
+            granted = route(parked, "POST", "/v1/queue/lease", {})
+            recorded.clear()
+            t0 = time.monotonic()
+            deliver(parked, granted)
+            assert recorded.wait(timeout=10.0)
+            latencies.append(time.monotonic() - t0)
+        wait_retired(parked, job_id, timeout=10.0)
+        status = route(parked, "GET", f"/v1/jobs/{job_id}")
+        assert status["state"] == "done"
+        assert statistics.median(latencies) < 0.01, latencies
+
+    def test_cancel_ends_a_parked_job_promptly(self, parked):
+        job_id = park(parked)
+        route(parked, "POST", f"/v1/jobs/{job_id}/cancel")
+        assert wait_retired(parked, job_id, timeout=10.0) < 1.0
+        status = route(parked, "GET", f"/v1/jobs/{job_id}")
+        assert status["state"] == "cancelled"
+        assert journal_events(parked, job_id) == QUEUE_CANCELLED
+
+    def test_many_workers_finish_the_job(self, parked):
+        """No completion is left unsettled when eight workers race;
+        a short switch interval makes the interleavings likely."""
+        job_id = park(parked, n_replications=200)
+        queue = parked._running[job_id].queue
+
+        def worker():
+            while queue.outstanding():
+                granted = route(parked, "POST", "/v1/queue/lease", {})
+                if granted["lease"] is not None:
+                    deliver(parked, granted)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [
+                threading.Thread(target=worker, daemon=True)
+                for _ in range(8)
+            ]
+            for thread in workers:
+                thread.start()
+            for thread in workers:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        wait_retired(parked, job_id, timeout=30.0)
+        assert route(parked, "GET", f"/v1/jobs/{job_id}")["state"] == "done"
+        [rows] = json.loads(parked.store.read_results(job_id))["grid"]
+        assert [row["replication"] for row in rows] == list(range(200))
+
+    def test_abandoned_lease_expires_at_the_next_status_read(self, parked):
+        job_id = park(parked, lease_ttl_s=0.1)
+        first = route(parked, "POST", "/v1/queue/lease", {})["lease"]
+        time.sleep(0.2)
+        queue = route(parked, "GET", f"/v1/jobs/{job_id}")["queue"]
+        assert (queue["open"], queue["leased"]) == (1, 0)
+        retry = route(parked, "POST", "/v1/queue/lease", {})["lease"]
+        assert (retry["chunk_id"], retry["attempt"]) == (
+            first["chunk_id"], 2,
+        )
+
+    def test_last_attempt_expiry_fails_the_job_at_the_next_status_read(
+        self, parked
+    ):
+        job_id = park(parked, lease_ttl_s=0.1, max_attempts=1)
+        route(parked, "POST", "/v1/queue/lease", {})
+        time.sleep(0.2)
+        assert job_id in parked._running, "expiry waits for a read"
+        status = route(parked, "GET", f"/v1/jobs/{job_id}")
+        assert status["state"] == "failed"
+        assert "lease attempt" in status["error"]
+        assert journal_events(parked, job_id) == QUEUE_FAILED
+        assert job_id not in parked._running

@@ -267,7 +267,9 @@ def test_record_rejects_bad_grid_flag(command, flag, value, tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("bad", ["missing", "empty", "foreign"])
+@pytest.mark.parametrize(
+    "bad", ["missing", "empty", "foreign", "not-json", "torn-record"]
+)
 @pytest.mark.parametrize("argv", [
     ["trace", "summary", "{bad}"],
     ["trace", "filter", "{bad}"],
@@ -278,21 +280,32 @@ def test_record_rejects_bad_grid_flag(command, flag, value, tmp_path, capsys):
     ["probe", "export-chrome", "{bad}", "--out", "{out}"],
 ], ids=lambda argv: " ".join(argv[:2]))
 def test_reader_rejects_bad_input(argv, bad, tmp_path, capsys):
-    """A missing, empty or foreign input is one ERROR line and exit 2."""
+    """A missing, empty, foreign or non-JSON input is one ERROR line
+    naming the file, and exit 2."""
     paths = {
         "bad": tmp_path / f"{bad}.jsonl",
         "good": tmp_path / "good.jsonl",
         "out": tmp_path / "out.json",
     }
     paths["good"].write_text('{"kind": "repro-probes", "schema": 1}\n')
+    kind = "repro-trace" if argv[0] == "trace" else "repro-probes"
     if bad == "empty":
         paths["bad"].write_text("")
     elif bad == "foreign":
         paths["bad"].write_text('{"a": 1}\n')
+    elif bad == "not-json":
+        paths["bad"].write_text("hello\n")
+    elif bad == "torn-record":
+        paths["bad"].write_text(
+            f'{{"kind": "{kind}", "schema": 1}}\n{{}}\n\n{{"t": 1.5, "ty\n'
+        )
     assert main(["-q"] + [arg.format(**paths) for arg in argv]) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
+    assert str(paths["bad"]) in err
+    if bad == "torn-record":
+        assert "line 4" in err
     assert not paths["out"].exists()
 
 
